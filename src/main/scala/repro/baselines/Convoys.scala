@@ -24,9 +24,7 @@ object Convoys {
   final case class Params(eps: Double = 6.0, minObjs: Int = 3, minDuration: Int = 3,
                           maxGap: Long = 60L)
 
-  final case class Convoy(objIds: Set[Long], tStart: Long, tEnd: Long) {
-    def duration(stepCount: Int): Int = stepCount
-  }
+  final case class Convoy(objIds: Set[Long], tStart: Long, tEnd: Long)
 
   /** DBSCAN over one timestamp's positions; returns clusters of object ids
     * (noise objects belong to no cluster).

@@ -2,6 +2,7 @@ package repro.baselines
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
+import repro.Timing.timed
 import repro.core.S2TClustering
 import repro.rtree.{Box3D, RTree3D}
 
@@ -21,10 +22,6 @@ object RangeQueryS2T {
   }
 
   final case class Result(s2t: S2TClustering.Result, rtree: RTree3D, timings: Timings)
-
-  private def timed[A](body: => A): (A, Long) = {
-    val t0 = System.nanoTime(); val r = body; (r, (System.nanoTime() - t0) / 1000000L)
-  }
 
   /** Run the three-step baseline over W = [w0, w1). */
   def query(points: DataFrame, w0: Long, w1: Long, p: S2TClustering.Params): Result = {

@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.model.TrajDistance
+import repro.model.{Series, TrajDistance}
 
 import scala.collection.mutable
 
@@ -16,13 +16,11 @@ object TOptics {
 
   final case class Params(minPts: Int = 3, epsExtract: Double = 8.0)
 
-  /** One whole trajectory, sorted by time. */
-  final case class Traj(objId: Long, ts: Array[Long], xs: Array[Double], ys: Array[Double])
-
   /** OPTICS ordering + reachability, then threshold extraction.
+    * @param trajs whole trajectories (votes are not read)
     * @return cluster label per input trajectory (-1 = noise)
     */
-  def run(trajs: Array[Traj], p: Params): Array[Int] = {
+  def run(trajs: Array[Series], p: Params): Array[Int] = {
     val n = trajs.length
     if (n == 0) return Array.empty
 
@@ -30,8 +28,7 @@ object TOptics {
     val d = Array.ofDim[Double](n, n)
     for (i <- 0 until n; j <- i until n) {
       val v = if (i == j) 0.0
-      else TrajDistance.timeSyncStats(trajs(i).ts, trajs(i).xs, trajs(i).ys,
-                                      trajs(j).ts, trajs(j).xs, trajs(j).ys)._1
+      else TrajDistance.timeSyncStats(trajs(i), trajs(j))._1
       d(i)(j) = v; d(j)(i) = v
     }
 

@@ -1,5 +1,7 @@
 package repro.baselines
 
+import repro.model.Series
+
 import scala.collection.mutable
 
 /** TRACLUS (Lee, Han, Whang — SIGMOD 2007): the partition-and-group
@@ -172,11 +174,11 @@ object Traclus {
     labels
   }
 
-  /** Full pipeline over driver-resident trajectories: returns the segments
-    * and their cluster labels.
+  /** Full pipeline over driver-resident trajectories (only their x/y are
+    * read): returns the segments and their cluster labels.
     */
-  def run(trajs: Seq[(Long, Array[Double], Array[Double])], p: Params): (Array[Seg], Array[Int]) = {
-    val segs = trajs.toArray.flatMap { case (objId, xs, ys) => partition(objId, xs, ys) }
+  def run(trajs: Seq[Series], p: Params): (Array[Seg], Array[Int]) = {
+    val segs = trajs.toArray.flatMap(s => partition(s.objId, s.xs, s.ys))
     (segs, cluster(segs, p))
   }
 }

@@ -19,7 +19,7 @@ object GreedyClustering {
     var bestD = Double.PositiveInfinity
     var c = 0
     while (c < reps.length) {
-      val d = TrajDistance.coverDist(sub, reps(c), minOverlapFrac)
+      val d = TrajDistance.coverDist(sub.series, reps(c).series, minOverlapFrac)
       if (d < bestD) { bestD = d; best = c }
       c += 1
     }

@@ -1,8 +1,8 @@
 package repro.core
 
-import repro.model.{Assignment, SubTraj, TrajDistance}
+import repro.Timing.timed
+import repro.model.{Assignment, SubTraj}
 import repro.retratree.{ReTraTree, SubChunkClustering}
-import repro.voting.Segmentation
 
 import scala.collection.mutable
 
@@ -40,10 +40,6 @@ object QuTClustering {
     def nOutliers: Int = outliers.length
   }
 
-  private def timed[A](body: => A): (A, Long) = {
-    val t0 = System.nanoTime(); val r = body; (r, (System.nanoTime() - t0) / 1000000L)
-  }
-
   /** Answer QUT over the tree for W = [w0, w1). `mergeEps` defaults to the
     * clustering ε; `mergeGap` to the segmentation max-gap.
     */
@@ -75,12 +71,7 @@ object QuTClustering {
               val lo = math.max(w0, tree.chunkStart(chunkId))
               val hi = math.min(w1, tree.chunkEnd(chunkId))
               // Stored votes are reused; only samples outside W are dropped.
-              val clipped = tree.loadChunk(chunkId).flatMap { vs =>
-                val keep = vs.ts.indices.filter(i => vs.ts(i) >= lo && vs.ts(i) < hi).toArray
-                if (keep.isEmpty) None
-                else Some(vs.copy(ts = keep.map(vs.ts), xs = keep.map(vs.xs),
-                                  ys = keep.map(vs.ys), votes = keep.map(vs.votes)))
-              }
+              val clipped = tree.loadChunk(chunkId).flatMap(_.clip(lo, hi))
               (chunkId, tree.clusterSeries(chunkId, clipped))
             }
             perChunk += r; recomputeMs += ms; recomputed += 1

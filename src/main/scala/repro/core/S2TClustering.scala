@@ -2,6 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.storage.StorageLevel
+import repro.Timing.timed
 import repro.clustering.GreedyClustering
 import repro.model.{Assignment, SubTraj}
 import repro.sampling.Sampling
@@ -52,12 +53,6 @@ object S2TClustering {
     def clusterSizes: Map[Int, Int] =
       assignments.filter(_.clusterId != Assignment.Outlier).groupBy(_.clusterId)
         .map { case (c, as) => c -> as.length }
-  }
-
-  private def timed[A](body: => A): (A, Long) = {
-    val t0 = System.nanoTime()
-    val r = body
-    (r, (System.nanoTime() - t0) / 1000000L)
   }
 
   /** Run the whole pipeline on a MOD DataFrame (obj_id, t, x, y), resampled

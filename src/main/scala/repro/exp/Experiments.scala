@@ -1,10 +1,11 @@
 package repro.exp
 
 import org.apache.spark.sql.SparkSession
+import repro.Timing.timed
 import repro.baselines.{Convoys, NaiveVoting, RangeQueryS2T, TOptics, Traclus}
 import repro.core.{QuTClustering, S2TClustering}
 import repro.eval.Quality
-import repro.model.{Assignment, TrajPoint}
+import repro.model.{Series, TrajPoint}
 import repro.retratree.ReTraTree
 import repro.traj.TrajGen
 import repro.voting.Voting
@@ -42,10 +43,6 @@ object Experiments {
                    nNoise = math.max(0, nObjects - nGroups * perGroup),
                    tSteps = tSteps, dt = 10L, switchFrac = switchFrac,
                    groupSpan = groupSpan, seed = seed)
-  }
-
-  private def timedMs[A](body: => A): (A, Long) = {
-    val t0 = System.nanoTime(); val r = body; (r, (System.nanoTime() - t0) / 1000000L)
   }
 
   // --------------------------------------------------------------------- E1
@@ -105,7 +102,7 @@ object Experiments {
       Seq(1, 2, 4).map(k => (k + 0.0, false, tau / 2, tau / 2 + k * tau))
 
     val rows = windows.map { case (wChunks, aligned, w0, w1) =>
-      val (qut, qutMs) = timedMs(QuTClustering.query(tree, w0, w1))
+      val (qut, qutMs) = timed(QuTClustering.query(tree, w0, w1))
       val base = RangeQueryS2T.query(df, w0, w1, s2tParams)
       val baseMs = base.timings.totalMs
       E2Row(wChunks, aligned, qutMs, baseMs,
@@ -145,7 +142,7 @@ object Experiments {
     df.count()
 
     // --- S2T (sub-trajectory level)
-    val (s2t, s2tMs) = timedMs(S2TClustering.run(df, S2TClustering.Params(maxReps = 128)))
+    val (s2t, s2tMs) = timed(S2TClustering.run(df, S2TClustering.Params(maxReps = 128)))
     val subByKey = s2t.subs.map(s => (s.objId, s.subId) -> s).toMap
     val s2tPairs = s2t.assignments.flatMap { a =>
       val s = subByKey((a.objId, a.subId))
@@ -153,28 +150,24 @@ object Experiments {
     }.toSeq
 
     // --- TRACLUS (spatial segments, time-blind)
-    val trajs = labeled.groupBy(_.objId).toSeq.sortBy(_._1).map { case (objId, pts) =>
-      val s = pts.sortBy(_.t)
-      (objId, s.map(_.t), s.map(_.x), s.map(_.y))
+    val trajs = labeled.groupBy(_.objId).toSeq.sortBy(_._1).map { case (_, pts) =>
+      Series.fromRows(pts.map(lp => (lp.objId, lp.t, lp.x, lp.y, 0.0)))
     }
-    val ((segs, segLabels), traclusMs) = timedMs(
-      Traclus.run(trajs.map(t => (t._1, t._3, t._4)), Traclus.Params()))
+    val ((segs, segLabels), traclusMs) = timed(Traclus.run(trajs, Traclus.Params()))
     val traclusPairs = segs.zip(segLabels).flatMap { case (seg, c) =>
-      val (_, ts, _, _) = trajs.find(_._1 == seg.objId).get
+      val ts = trajs.find(_.objId == seg.objId).get.ts
       (seg.i0 until seg.i1).map(i => truth((seg.objId, ts(i))) -> c)
     }.toSeq
 
     // --- T-OPTICS (whole trajectories)
-    val (toLabels, topticsMs) = timedMs(
-      TOptics.run(trajs.map(t => TOptics.Traj(t._1, t._2, t._3, t._4)).toArray,
-                  TOptics.Params()))
-    val topticsPairs = trajs.zip(toLabels).flatMap { case ((objId, ts, _, _), c) =>
-      ts.map(t => truth((objId, t)) -> c)
+    val (toLabels, topticsMs) = timed(TOptics.run(trajs.toArray, TOptics.Params()))
+    val topticsPairs = trajs.zip(toLabels).flatMap { case (s, c) =>
+      s.ts.map(t => truth((s.objId, t)) -> c)
     }.toSeq
 
     // --- Convoys (co-movement pattern family, scenario 1's fourth method)
     val rawPts = labeled.map(lp => TrajPoint(lp.objId, lp.t, lp.x, lp.y))
-    val (convoys, convoyMs) = timedMs(
+    val (convoys, convoyMs) = timed(
       Convoys.run(rawPts, Convoys.Params(eps = 8.0, minObjs = 4, minDuration = 6)))
     val convoyLabelOf = mutable.Map.empty[(Long, Long), Int]
     for ((c, i) <- convoys.sortBy(-_.objIds.size).zipWithIndex; o <- c.objIds;
@@ -210,13 +203,13 @@ object Experiments {
     sizes.map { n =>
       val df = TrajGen.points(TrajGen.generate(spark, mod(spark, n, tSteps))).cache()
       df.count()
-      val (_, sparkMs) = timedMs { Voting.votes(df, sigma).count() }
+      val (_, sparkMs) = timed { Voting.votes(df, sigma).count() }
       val local: Array[TrajPoint] = {
         import spark.implicits._
         df.select("obj_id", "t", "x", "y").as[(Long, Long, Double, Double)]
           .collect().map(r => TrajPoint(r._1, r._2, r._3, r._4))
       }
-      val (_, naiveMs) = timedMs { NaiveVoting.votes(local, sigma) }
+      val (_, naiveMs) = timed { NaiveVoting.votes(local, sigma) }
       df.unpersist()
       E4Row(n, local.length, sparkMs, naiveMs,
             naiveMs.toDouble / math.max(1L, sparkMs))

@@ -15,15 +15,13 @@ final case class TrajPoint(objId: Long, t: Long, x: Double, y: Double)
   */
 final case class LabeledPoint(objId: Long, t: Long, x: Double, y: Double, label: Int)
 
-/** A sub-trajectory produced by the segmentation phase: a maximal run of
-  * consecutive samples of one object with homogeneous voting.
-  *
-  * Arrays are parallel and sorted by `ts`. `votes(i)` is the voting value of
-  * sample i (how many objects co-move with it, kernel-weighted).
+/** One object's samples as parallel arrays sorted by `ts`: the in-memory
+  * form of a trajectory, of a chunk piece of one, and of a sub-trajectory.
+  * `votes(i)` is the voting value of sample i (how many objects co-move
+  * with it, kernel-weighted); zeros before voting.
   */
-final case class SubTraj(
+final case class Series(
     objId: Long,
-    subId: Int,
     ts: Array[Long],
     xs: Array[Double],
     ys: Array[Double],
@@ -37,14 +35,8 @@ final case class SubTraj(
   /** Lifespan in seconds (0 for a single sample). */
   def duration: Long = tEnd - tStart
   def size: Int = ts.length
-  /** Mean voting value — the sub-trajectory's representativeness. */
-  def meanVote: Double = if (votes.isEmpty) 0.0 else votes.sum / votes.length
-  /** Total voting mass; the SaCO sampling score (representativeness × lifespan). */
-  def score: Double = votes.sum
-  /** Global key, unique within one MOD clustering run. */
-  def key: (Long, Int) = (objId, subId)
 
-  /** Minimum bounding box in (x, y, t) — the unit indexed by the 3D R-tree. */
+  /** Minimum bounding box in (x, y, t). */
   def mbb: (Double, Double, Double, Double, Long, Long) = {
     var minX = Double.MaxValue; var maxX = Double.MinValue
     var minY = Double.MaxValue; var maxY = Double.MinValue
@@ -56,6 +48,59 @@ final case class SubTraj(
     }
     (minX, maxX, minY, maxY, tStart, tEnd)
   }
+
+  /** The samples with index a <= i < b. */
+  def slice(a: Int, b: Int): Series =
+    Series(objId, ts.slice(a, b), xs.slice(a, b), ys.slice(a, b), votes.slice(a, b))
+
+  /** The samples with lo <= t < hi; None when there are none. */
+  def clip(lo: Long, hi: Long): Option[Series] = {
+    val a = ts.count(_ < lo)
+    val b = ts.count(_ < hi)
+    if (a < b) Some(slice(a, b)) else None
+  }
+}
+
+object Series {
+
+  /** Rows (objId, t, x, y, vote) of one object, in any order, as a series
+    * sorted by t.
+    */
+  def fromRows(rows: Array[(Long, Long, Double, Double, Double)]): Series = {
+    require(rows.nonEmpty, "a series needs at least one row")
+    val objId = rows.head._1
+    require(rows.forall(_._1 == objId),
+      s"rows of several objects: ${rows.map(_._1).distinct.mkString(", ")}")
+    val s = rows.sortBy(_._2)
+    Series(objId, s.map(_._2), s.map(_._3), s.map(_._4), s.map(_._5))
+  }
+}
+
+/** A sub-trajectory produced by the segmentation phase: a maximal run of
+  * consecutive samples of one object with homogeneous voting. `subId`s
+  * number one object's sub-trajectories in temporal order.
+  */
+final case class SubTraj(series: Series, subId: Int) {
+  def objId: Long = series.objId
+  def ts: Array[Long] = series.ts
+  def xs: Array[Double] = series.xs
+  def ys: Array[Double] = series.ys
+  def votes: Array[Double] = series.votes
+  def tStart: Long = series.tStart
+  def tEnd: Long = series.tEnd
+  def size: Int = series.size
+  /** Mean voting value — the sub-trajectory's representativeness. */
+  def meanVote: Double = if (votes.isEmpty) 0.0 else votes.sum / votes.length
+  /** Total voting mass; the SaCO sampling score (representativeness × lifespan). */
+  def score: Double = votes.sum
+  /** Global key, unique within one MOD clustering run. */
+  def key: (Long, Int) = (objId, subId)
+}
+
+object SubTraj {
+  def apply(objId: Long, subId: Int, ts: Array[Long], xs: Array[Double], ys: Array[Double],
+            votes: Array[Double]): SubTraj =
+    SubTraj(Series(objId, ts, xs, ys, votes), subId)
 }
 
 /** Assignment of one sub-trajectory to a cluster.

@@ -1,6 +1,7 @@
 package repro.model
 
-import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
+import org.apache.spark.sql.{DataFrame, Dataset}
+import org.apache.spark.sql.functions.{col, lit}
 
 /** Resampling of raw (possibly irregular) GPS traces onto a regular time grid.
   *
@@ -45,11 +46,12 @@ object Resample {
     val spark = points.sparkSession
     import spark.implicits._
     points
-      .select("obj_id", "t", "x", "y").as[(Long, Long, Double, Double)]
+      .select(col("obj_id"), col("t"), col("x"), col("y"), lit(0.0) as "vote")
+      .as[(Long, Long, Double, Double, Double)]
       .groupByKey(_._1)
       .flatMapGroups { (objId, it) =>
-        val pts = it.toArray.sortBy(_._2)
-        resampleOne(objId, pts.map(_._2), pts.map(_._3), pts.map(_._4), dt).iterator
+        val s = Series.fromRows(it.toArray)
+        resampleOne(objId, s.ts, s.xs, s.ys, dt).iterator
       }
   }
 }

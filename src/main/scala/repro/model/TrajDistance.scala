@@ -14,12 +14,11 @@ object TrajDistance {
   /** Mean time-synchronized Euclidean distance plus the overlap length.
     *
     * @return (meanDistance, overlapSeconds); (+inf, 0) when lifespans are
-    *         disjoint. Arrays must be sorted by time and non-empty.
+    *         disjoint. Both series must be non-empty.
     */
-  def timeSyncStats(
-      aTs: Array[Long], aXs: Array[Double], aYs: Array[Double],
-      bTs: Array[Long], bXs: Array[Double], bYs: Array[Double]
-  ): (Double, Long) = {
+  def timeSyncStats(a: Series, b: Series): (Double, Long) = {
+    val aTs = a.ts; val aXs = a.xs; val aYs = a.ys
+    val bTs = b.ts; val bXs = b.xs; val bYs = b.ys
     val lo = math.max(aTs.head, bTs.head)
     val hi = math.min(aTs.last, bTs.last)
     if (lo > hi) return (Double.PositiveInfinity, 0L)
@@ -48,26 +47,13 @@ object TrajDistance {
     if (n == 0) (Double.PositiveInfinity, 0L) else (sum / n, hi - lo)
   }
 
-  /** Convenience overload on [[SubTraj]]. */
-  def timeSyncStats(a: SubTraj, b: SubTraj): (Double, Long) =
-    timeSyncStats(a.ts, a.xs, a.ys, b.ts, b.xs, b.ys)
-
-  /** True when `a` is *covered* by `b`: their common lifespan is at least
-    * `minOverlapFrac` of `a`'s lifespan and the mean time-sync distance over
-    * it is at most `eps`. This is the comparability predicate used both by
-    * SaCO sampling (suppression) and by greedy cluster assignment.
-    */
-  def covers(a: SubTraj, b: SubTraj, eps: Double, minOverlapFrac: Double): Boolean = {
-    val (d, overlap) = timeSyncStats(a, b)
-    if (d.isInfinite) return false
-    val dur = math.max(1L, a.duration)
-    overlap.toDouble / dur >= minOverlapFrac && d <= eps
-  }
-
   /** Distance of `a` to `b` under the coverage predicate: the mean time-sync
-    * distance when comparable, +inf otherwise.
+    * distance when their common lifespan is at least `minOverlapFrac` of
+    * `a`'s lifespan, +inf otherwise. `a` is *covered* by `b` when this is at
+    * most ε — the comparability predicate of both SaCO sampling
+    * (suppression) and greedy cluster assignment.
     */
-  def coverDist(a: SubTraj, b: SubTraj, minOverlapFrac: Double): Double = {
+  def coverDist(a: Series, b: Series, minOverlapFrac: Double): Double = {
     val (d, overlap) = timeSyncStats(a, b)
     if (d.isInfinite) Double.PositiveInfinity
     else {

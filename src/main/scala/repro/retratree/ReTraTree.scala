@@ -3,17 +3,13 @@ package repro.retratree
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import org.apache.spark.storage.StorageLevel
+import repro.Timing.timed
 import repro.core.S2TClustering
-import repro.model.{Assignment, SubTraj, TrajDistance, TrajPoint}
-import repro.rtree.{Box3D, RTree3D}
+import repro.model.{Assignment, Series, SubTraj, TrajPoint}
 import repro.voting.{Segmentation, Voting}
 
 import scala.collection.immutable.SortedMap
 import scala.collection.mutable.ArrayBuffer
-
-/** One object's voted samples within a chunk (level-4 payload). */
-final case class VotedSeries(objId: Long, ts: Array[Long], xs: Array[Double],
-                             ys: Array[Double], votes: Array[Double])
 
 /** Level-3 node: the clusters of one lifespan sub-chunk — the sampling set
   * (representatives) and the assignment of every sub-trajectory to a
@@ -25,19 +21,16 @@ final case class SubChunkClustering(subChunkId: Int, reps: Array[SubTraj],
   def nOutliers: Int = assignments.count(_.clusterId == Assignment.Outlier)
 }
 
-/** Levels 2–4 state of one temporal chunk: its sub-chunk clusterings, the
-  * 3D R-tree over member MBBs (payload = index into `memberBoxes`), the
+/** Levels 2–3 state of one temporal chunk: its sub-chunk clusterings, the
   * buffer of not-yet-clustered inserted trajectories, and appended member
   * assignments from incremental inserts.
   */
 final class ChunkClustering(val chunkId: Long) {
   var subChunks: Vector[SubChunkClustering] = Vector.empty
-  var rtree: RTree3D = new RTree3D()
-  val memberBoxes: ArrayBuffer[Box3D] = ArrayBuffer.empty
   /** Trajectories inserted after build that matched an existing representative. */
   val appended: ArrayBuffer[Assignment] = ArrayBuffer.empty
   /** Inserted trajectories that matched nothing — the outlier partition. */
-  val pendingOutliers: ArrayBuffer[VotedSeries] = ArrayBuffer.empty
+  val pendingOutliers: ArrayBuffer[Series] = ArrayBuffer.empty
 
   def allReps: Array[SubTraj] = subChunks.flatMap(_.reps).toArray
   def nClusters: Int = subChunks.map(_.nClusters).sum
@@ -54,8 +47,8 @@ final class ChunkClustering(val chunkId: Long) {
   *  3. per-sub-chunk clusters: representatives + member assignments,
   *     produced by the S2T machinery (this is the in-memory part);
   *  4. data storage: the voted samples, written as parquet partitioned by
-  *     chunk id (the disk-partition analog of `pg3D-Rtree-k`), plus a 3D
-  *     R-tree per chunk over member MBBs for retrieval.
+  *     chunk id (the disk-partition analog of `pg3D-Rtree-k`); retrieval is
+  *     chunk-partition pruning.
   *
   * Temporal chunking has a structural consequence this implementation leans
   * on: a vote at time t only involves objects alive at t, so voting never
@@ -81,17 +74,14 @@ final class ReTraTree(val params: ReTraTree.Params, val dataDir: String,
   /** Read one chunk's voted samples back from the level-4 parquet partition.
     * Partition pruning applies — only that chunk's files are scanned.
     */
-  def loadChunk(chunkId: Long): Array[VotedSeries] = {
+  def loadChunk(chunkId: Long): Array[Series] = {
     import spark.implicits._
     spark.read.parquet(dataDir)
       .where(col("chunk_id") === chunkId)
       .select("obj_id", "t", "x", "y", "vote").as[(Long, Long, Double, Double, Double)]
       .collect()
       .groupBy(_._1)
-      .map { case (objId, rows) =>
-        val s = rows.sortBy(_._2)
-        VotedSeries(objId, s.map(_._2), s.map(_._3), s.map(_._4), s.map(_._5))
-      }
+      .map { case (_, rows) => Series.fromRows(rows) }
       .toArray
   }
 
@@ -99,10 +89,8 @@ final class ReTraTree(val params: ReTraTree.Params, val dataDir: String,
     * then SaCO per lifespan sub-chunk. Shared by build, incremental
     * re-clustering, and QuT boundary recomputation.
     */
-  def clusterSeries(chunkId: Long, series: Array[VotedSeries]): Vector[SubChunkClustering] = {
-    val subs = series.flatMap(vs =>
-      Segmentation.segmentOne(vs.objId, vs.ts, vs.xs, vs.ys, vs.votes,
-                              params.s2t.segmentation))
+  def clusterSeries(chunkId: Long, series: Array[Series]): Vector[SubChunkClustering] = {
+    val subs = series.flatMap(Segmentation.segmentOne(_, params.s2t.segmentation))
     subs.groupBy(s => subChunkOf(chunkId, s.tStart)).toVector.sortBy(_._1).map {
       case (scId, scSubs) =>
         val (reps, assignments) = S2TClustering.localPhases(scSubs, params.s2t)
@@ -114,35 +102,35 @@ final class ReTraTree(val params: ReTraTree.Params, val dataDir: String,
     *
     * The trajectory is clipped per chunk; each piece is matched against the
     * chunk's existing representatives. A match is archived as an appended
-    * member (and its MBB inserted into the chunk R-tree); a miss lands in the
-    * chunk's outlier partition. When an outlier partition reaches
-    * `reclusterThreshold` trajectories, S2T takes action on it: chunk-local
-    * voting over the buffered trajectories, segmentation, sampling — the new
-    * representatives are back-propagated into the in-memory level 3.
+    * member; a miss lands in the chunk's outlier partition. When an outlier
+    * partition reaches `reclusterThreshold` trajectories, S2T takes action
+    * on it: chunk-local voting over the buffered trajectories, segmentation,
+    * sampling — the new representatives are back-propagated into the
+    * in-memory level 3.
+    *
+    * The samples must belong to one object, have finite coordinates and
+    * distinct timestamps; otherwise the tree is left unchanged and an
+    * `IllegalArgumentException` is thrown.
     */
   def insertTrajectory(pts: Array[TrajPoint]): Unit = {
     require(pts.nonEmpty, "cannot insert an empty trajectory")
-    val sorted = pts.sortBy(_.t)
-    for ((chunkId, piece) <- sorted.groupBy(p => p.t / params.tau).toSeq.sortBy(_._1)) {
+    require(pts.forall(p => p.x.isFinite && p.y.isFinite),
+      s"non-finite coordinate in the trajectory of object ${pts.head.objId}")
+    val s = Series.fromRows(pts.map(p => (p.objId, p.t, p.x, p.y, 0.0)))
+    require(s.ts.indices.drop(1).forall(i => s.ts(i) > s.ts(i - 1)),
+      s"duplicate timestamp in the trajectory of object ${s.objId}")
+    for (chunkId <- s.ts.map(math.floorDiv(_, params.tau)).distinct;
+         piece <- s.clip(chunkStart(chunkId), chunkEnd(chunkId))) {
       val cc = chunks.getOrElse(chunkId, {
         val fresh = new ChunkClustering(chunkId)
         chunks = chunks.updated(chunkId, fresh)
         fresh
       })
-      val ts = piece.map(_.t); val xs = piece.map(_.x); val ys = piece.map(_.y)
-      val sub = SubTraj(piece.head.objId, Int.MaxValue, ts, xs, ys,
-                        new Array[Double](ts.length))
-      val reps = cc.allReps
-      val a = repro.clustering.GreedyClustering.assignOne(sub, reps, params.s2t.eps,
-                                                          params.s2t.minOverlapFrac)
-      if (a.clusterId != Assignment.Outlier) {
-        cc.appended += a
-        val b = Box3D(xs.min, xs.max, ys.min, ys.max, ts.min, ts.max)
-        cc.memberBoxes += b
-        cc.rtree.insert(b, cc.memberBoxes.length - 1)
-      } else {
-        cc.pendingOutliers += VotedSeries(piece.head.objId, ts, xs, ys,
-                                          new Array[Double](ts.length))
+      val a = repro.clustering.GreedyClustering.assignOne(SubTraj(piece, Int.MaxValue),
+        cc.allReps, params.s2t.eps, params.s2t.minOverlapFrac)
+      if (a.clusterId != Assignment.Outlier) cc.appended += a
+      else {
+        cc.pendingOutliers += piece
         if (cc.pendingOutliers.length >= params.reclusterThreshold) reclusterOutliers(cc)
       }
     }
@@ -167,11 +155,6 @@ final class ReTraTree(val params: ReTraTree.Params, val dataDir: String,
     val offset = if (cc.subChunks.isEmpty) 0 else cc.subChunks.map(_.subChunkId).max + 1
     val appendedScs = clusterings.map(sc => sc.copy(subChunkId = sc.subChunkId + offset))
     cc.subChunks = cc.subChunks ++ appendedScs
-    for (vs <- series) {
-      val b = Box3D(vs.xs.min, vs.xs.max, vs.ys.min, vs.ys.max, vs.ts.min, vs.ts.max)
-      cc.memberBoxes += b
-      cc.rtree.insert(b, cc.memberBoxes.length - 1)
-    }
   }
 }
 
@@ -206,10 +189,6 @@ object ReTraTree {
     val spark = points.sparkSession
     import spark.implicits._
 
-    def timed[A](body: => A): (A, Long) = {
-      val t0 = System.nanoTime(); val r = body; (r, (System.nanoTime() - t0) / 1000000L)
-    }
-
     val (voted, tVote) = timed {
       val v = Voting.votes(points, params.s2t.sigma)
         .withColumn("chunk_id", floor(col("t") / params.tau).cast("long"))
@@ -229,20 +208,12 @@ object ReTraTree {
         .as[(Long, Long, Long, Double, Double, Double)]
         .groupByKey(r => (r._1, r._2))
         .mapGroups { (key: (Long, Long), it: Iterator[(Long, Long, Long, Double, Double, Double)]) =>
-          val (chunkId, objId) = key
-          val rows = it.toArray.sortBy(_._3)
-          (chunkId, VotedSeries(objId, rows.map(_._3), rows.map(_._4), rows.map(_._5),
-                                rows.map(_._6)))
+          (key._1, Series.fromRows(it.map(r => (r._2, r._3, r._4, r._5, r._6)).toArray))
         }
         .collect()
       for ((chunkId, chunkSeries) <- series.groupBy(_._1).toSeq.sortBy(_._1)) {
         val cc = new ChunkClustering(chunkId)
-        val vss = chunkSeries.map(_._2)
-        cc.subChunks = tree.clusterSeries(chunkId, vss)
-        val boxes = vss.map(vs => Box3D(vs.xs.min, vs.xs.max, vs.ys.min, vs.ys.max,
-                                        vs.ts.min, vs.ts.max))
-        cc.memberBoxes ++= boxes
-        cc.rtree = RTree3D.bulkLoad(boxes.zipWithIndex.toIndexedSeq)
+        cc.subChunks = tree.clusterSeries(chunkId, chunkSeries.map(_._2))
         tree.chunks = tree.chunks.updated(chunkId, cc)
       }
     }

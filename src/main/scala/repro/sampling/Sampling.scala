@@ -43,7 +43,8 @@ object Sampling {
         nReps += 1
         var j = 0
         while (j < subs.length) {
-          if (!covered(j) && TrajDistance.covers(subs(j), cand, p.eps, p.minOverlapFrac))
+          if (!covered(j) &&
+              TrajDistance.coverDist(subs(j).series, cand.series, p.minOverlapFrac) <= p.eps)
             covered(j) = true
           j += 1
         }

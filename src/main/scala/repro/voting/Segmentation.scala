@@ -1,7 +1,7 @@
 package repro.voting
 
 import org.apache.spark.sql.{DataFrame, Dataset}
-import repro.model.SubTraj
+import repro.model.{Series, SubTraj}
 
 /** Neighborhood-aware Trajectory Segmentation (NaTS) — phase 1b of
   * S2T-Clustering.
@@ -62,12 +62,12 @@ object Segmentation {
     split(0, n)
   }
 
-  /** Split one object's sorted, voted samples into [[SubTraj]]s: first at
-    * temporal gaps, then by voting homogeneity. `subId`s are consecutive from
-    * 0 in temporal order.
+  /** Split one object's voted series into [[SubTraj]]s: first at temporal
+    * gaps, then by voting homogeneity. `subId`s are consecutive from 0 in
+    * temporal order.
     */
-  def segmentOne(objId: Long, ts: Array[Long], xs: Array[Double], ys: Array[Double],
-                 votes: Array[Double], p: Params): Array[SubTraj] = {
+  def segmentOne(s: Series, p: Params): Array[SubTraj] = {
+    val ts = s.ts
     if (ts.isEmpty) return Array.empty
     // gap pre-split
     val runs = List.newBuilder[(Int, Int)]
@@ -82,11 +82,9 @@ object Segmentation {
     val out = Array.newBuilder[SubTraj]
     var subId = 0
     for ((rLo, rHi) <- runs.result()) {
-      val seg = segmentIndices(votes.slice(rLo, rHi), p.lambda, p.minLen)
+      val seg = segmentIndices(s.votes.slice(rLo, rHi), p.lambda, p.minLen)
       for ((sLo, sHi) <- seg) {
-        val a = rLo + sLo; val b = rLo + sHi
-        out += SubTraj(objId, subId, ts.slice(a, b), xs.slice(a, b), ys.slice(a, b),
-                       votes.slice(a, b))
+        out += SubTraj(s.slice(rLo + sLo, rLo + sHi), subId)
         subId += 1
       }
     }
@@ -102,10 +100,6 @@ object Segmentation {
     voted
       .select("obj_id", "t", "x", "y", "vote").as[(Long, Long, Double, Double, Double)]
       .groupByKey(_._1)
-      .flatMapGroups { (objId, it) =>
-        val pts = it.toArray.sortBy(_._2)
-        segmentOne(objId, pts.map(_._2), pts.map(_._3), pts.map(_._4), pts.map(_._5), p)
-          .iterator
-      }
+      .flatMapGroups((_, it) => segmentOne(Series.fromRows(it.toArray), p).iterator)
   }
 }

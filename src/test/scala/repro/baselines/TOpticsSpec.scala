@@ -1,13 +1,14 @@
 package repro.baselines
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.baselines.TOptics.{Params, Traj}
+import repro.baselines.TOptics.Params
+import repro.model.Series
 
 class TOpticsSpec extends AnyFunSuite {
 
-  private def lane(objId: Long, y0: Double, t0: Long = 0L, n: Int = 20): Traj =
-    Traj(objId, Array.tabulate(n)(i => t0 + i * 10L),
-         Array.tabulate(n)(_.toDouble * 2), Array.fill(n)(y0))
+  private def lane(objId: Long, y0: Double, t0: Long = 0L, n: Int = 20): Series =
+    Series(objId, Array.tabulate(n)(i => t0 + i * 10L),
+           Array.tabulate(n)(_.toDouble * 2), Array.fill(n)(y0), new Array[Double](n))
 
   private val P = Params(minPts = 2, epsExtract = 5.0)
 
@@ -53,7 +54,8 @@ class TOpticsSpec extends AnyFunSuite {
     // half then shoots off — its *whole-trajectory* distance becomes large.
     val clean = (0 until 3).map(i => lane(i, i * 0.5, n = 40)).toArray
     val deviantXs = Array.tabulate(40)(i => if (i < 20) i * 2.0 else 40.0 + (i - 20) * 50.0)
-    val deviant = Traj(9, Array.tabulate(40)(_ * 10L), deviantXs, Array.fill(40)(0.5))
+    val deviant = Series(9, Array.tabulate(40)(_ * 10L), deviantXs, Array.fill(40)(0.5),
+                         new Array[Double](40))
     val labels = TOptics.run(clean :+ deviant, P.copy(minPts = 2))
     assert(labels.take(3).forall(_ >= 0))
     assert(labels.last == -1, "T-OPTICS cannot keep a partially co-moving object")

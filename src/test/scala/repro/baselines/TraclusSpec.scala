@@ -2,6 +2,7 @@ package repro.baselines
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.baselines.Traclus.{Params, Seg}
+import repro.model.Series
 
 class TraclusSpec extends AnyFunSuite {
 
@@ -128,8 +129,9 @@ class TraclusSpec extends AnyFunSuite {
   // ------------------------------------------------------------------- run
 
   test("end-to-end: two spatial lanes are discovered from raw trajectories") {
-    def lane(y0: Double, objId: Long): (Long, Array[Double], Array[Double]) =
-      (objId, Array.tabulate(15)(_.toDouble * 5), Array.fill(15)(y0))
+    def lane(y0: Double, objId: Long): Series =
+      Series(objId, Array.tabulate(15)(_ * 10L), Array.tabulate(15)(_.toDouble * 5),
+             Array.fill(15)(y0), new Array[Double](15))
     val trajs = (0 until 4).map(i => lane(i * 0.5, i)) ++
                 (0 until 4).map(i => lane(800 + i * 0.5, 10 + i))
     val (segs, labels) = Traclus.run(trajs, P.copy(minLns = 3))
@@ -141,8 +143,9 @@ class TraclusSpec extends AnyFunSuite {
   test("TRACLUS is time-blind: lanes at disjoint times still merge (the limitation)") {
     // Same spatial lane, but objects 0-2 move early and 3-5 move late; a
     // time-aware method must separate them — TRACLUS cannot, by design.
-    def lane(objId: Long): (Long, Array[Double], Array[Double]) =
-      (objId, Array.tabulate(15)(_.toDouble * 5), Array.fill(15)(objId * 0.3))
+    def lane(objId: Long): Series =
+      Series(objId, Array.tabulate(15)(i => (if (objId < 3) 0L else 100000L) + i * 10L),
+             Array.tabulate(15)(_.toDouble * 5), Array.fill(15)(objId * 0.3), new Array[Double](15))
     val trajs = (0L until 6L).map(lane)
     val (_, labels) = Traclus.run(trajs, P.copy(minLns = 3))
     val clusters = labels.filter(_ >= 0).distinct

@@ -5,11 +5,11 @@ import org.scalatest.funsuite.AnyFunSuite
 class TrajDistanceSpec extends AnyFunSuite {
 
   private def line(objId: Long, t0: Long, n: Int, dt: Long, x0: Double, y0: Double,
-                   dx: Double, dy: Double): SubTraj = {
+                   dx: Double, dy: Double): Series = {
     val ts = Array.tabulate(n)(i => t0 + i * dt)
     val xs = Array.tabulate(n)(i => x0 + i * dx)
     val ys = Array.tabulate(n)(i => y0 + i * dy)
-    SubTraj(objId, 0, ts, xs, ys, new Array[Double](n))
+    Series(objId, ts, xs, ys, new Array[Double](n))
   }
 
   test("distance of a trajectory to itself is zero") {
@@ -60,7 +60,7 @@ class TrajDistanceSpec extends AnyFunSuite {
     val bts = Array(0L, 50L, 60L, 70L, 80L, 90L, 100L, 1000L)
     val bxs = Array(999.0, 0.0, 1.0, 2.0, 3.0, 4.0, 5.0, -999.0)
     val bys = Array(999.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -999.0)
-    val b = SubTraj(2, 0, bts, bxs, bys, new Array[Double](8))
+    val b = Series(2, bts, bxs, bys, new Array[Double](8))
     val (d, _) = TrajDistance.timeSyncStats(a, b)
     assert(d < 1e-9)
   }
@@ -75,20 +75,20 @@ class TrajDistanceSpec extends AnyFunSuite {
   test("covers holds for a nearby co-temporal sub-trajectory") {
     val a = line(1, 0, 10, 10, 0, 0, 1, 0)
     val b = line(2, 0, 10, 10, 0, 2, 1, 0)
-    assert(TrajDistance.covers(a, b, eps = 3.0, minOverlapFrac = 0.5))
+    assert(TrajDistance.coverDist(a, b, minOverlapFrac = 0.5) <= 3.0)
   }
 
   test("covers fails when distance exceeds eps") {
     val a = line(1, 0, 10, 10, 0, 0, 1, 0)
     val b = line(2, 0, 10, 10, 0, 50, 1, 0)
-    assert(!TrajDistance.covers(a, b, eps = 3.0, minOverlapFrac = 0.5))
+    assert(!(TrajDistance.coverDist(a, b, minOverlapFrac = 0.5) <= 3.0))
   }
 
   test("covers fails when the temporal overlap fraction is too small") {
     val a = line(1, 0, 101, 10, 0, 0, 0.1, 0)    // [0, 1000], x(t) = t/100
     val b = line(2, 900, 11, 10, 9.0, 0, 0.1, 0) // same path, alive only [900, 1000]
-    assert(!TrajDistance.covers(a, b, eps = 5.0, minOverlapFrac = 0.5))
-    assert(TrajDistance.covers(b, a, eps = 5.0, minOverlapFrac = 0.5),
+    assert(!(TrajDistance.coverDist(a, b, minOverlapFrac = 0.5) <= 5.0))
+    assert(TrajDistance.coverDist(b, a, minOverlapFrac = 0.5) <= 5.0,
       "b is fully covered by a's lifespan, so the reverse direction holds")
   }
 
@@ -105,7 +105,7 @@ class TrajDistanceSpec extends AnyFunSuite {
   }
 
   test("single-sample sub-trajectory compares by point distance") {
-    val a = SubTraj(1, 0, Array(50L), Array(3.0), Array(4.0), Array(0.0))
+    val a = Series(1, Array(50L), Array(3.0), Array(4.0), Array(0.0))
     val b = line(2, 0, 11, 10, 0, 0, 0, 0) // sits at origin
     val (d, _) = TrajDistance.timeSyncStats(a, b)
     assert(math.abs(d - 5.0) < 1e-9)

@@ -79,20 +79,6 @@ class ReTraTreeSpec extends SparkSpec {
     }
   }
 
-  test("chunk R-trees index every member trajectory piece") {
-    tree.chunks.foreach { case (chunkId, cc) =>
-      val nObjInChunk = tree.loadChunk(chunkId).length
-      assert(cc.rtree.size == nObjInChunk)
-      assert(cc.memberBoxes.length == nObjInChunk)
-    }
-  }
-
-  test("chunk R-tree answers temporal queries within the chunk") {
-    val cc = tree.chunks(0L)
-    val all = cc.rtree.queryTemporal(0L, 199L)
-    assert(all.length == cc.rtree.size, "every member lives inside the chunk period")
-  }
-
   test("sub-chunk clusterings partition the chunk's sub-trajectories") {
     tree.chunks.values.foreach { cc =>
       val totalAssigned = cc.subChunks.map(_.assignments.length).sum
@@ -125,10 +111,9 @@ class ReTraTreeSpec extends SparkSpec {
     val dir = Files.createTempDirectory("retratree-ins").toString
     val (t2, _) = ReTraTree.build(pointsDf, ReTraTree.Params(tau = tau), dir)
     val cc = t2.chunks(0L)
-    val before = (cc.appended.length, cc.rtree.size)
+    val before = cc.appended.length
     t2.insertTrajectory(laneTrajectory(900L, 0L, 0.5))
-    assert(cc.appended.length == before._1 + 1)
-    assert(cc.rtree.size == before._2 + 1)
+    assert(cc.appended.length == before + 1)
     assert(cc.pendingOutliers.isEmpty)
   }
 
@@ -188,6 +173,42 @@ class ReTraTreeSpec extends SparkSpec {
 
   test("insert of an empty trajectory is rejected") {
     intercept[IllegalArgumentException] { tree.insertTrajectory(Array.empty) }
+  }
+
+  /** Everything an insert can change, by chunk. */
+  private def state(t: ReTraTree) = t.chunks.map { case (c, cc) =>
+    c -> ((cc.subChunks, cc.appended.toList, cc.pendingOutliers.toList)) }
+
+  private def assertRejected(pts: Array[TrajPoint], reason: String): Unit = {
+    val before = state(tree)
+    val e = intercept[IllegalArgumentException] { tree.insertTrajectory(pts) }
+    assert(e.getMessage.contains(reason), e.getMessage)
+    assert(state(tree) == before, "a rejected insert must leave the tree unchanged")
+  }
+
+  test("insert of samples from several objects is rejected") {
+    val pts = (0 until 20).map(i => TrajPoint(940L + i % 2, i * 10L, 0.0, 0.0)).toArray
+    assertRejected(pts, "several objects")
+  }
+
+  test("insert of non-finite coordinates is rejected") {
+    val pts = (0 until 20).map(i => TrajPoint(941L, i * 10L, i.toDouble, 0.0)).toArray
+    assertRejected(pts.updated(5, pts(5).copy(x = Double.NaN)), "non-finite")
+    assertRejected(pts.updated(7, pts(7).copy(y = Double.PositiveInfinity)), "non-finite")
+  }
+
+  test("insert of duplicate timestamps is rejected") {
+    val pts = (0 until 20).map(i => TrajPoint(942L, i * 10L, i.toDouble, 0.0)).toArray
+    assertRejected(pts :+ TrajPoint(942L, 50L, 1.0, 1.0), "duplicate timestamp")
+  }
+
+  test("an insert at t < 0 lands in the floor-division chunk, as in build and QuT") {
+    val dir = Files.createTempDirectory("retratree-ins6").toString
+    val (t2, _) = ReTraTree.build(pointsDf, ReTraTree.Params(tau = tau), dir)
+    val pts = (0 until 20).map(i => TrajPoint(943L, -100L + i * 10L, 60000.0, 60000.0)).toArray
+    t2.insertTrajectory(pts)
+    assert(t2.chunks(-1L).pendingOutliers.map(_.ts.toSeq) == Seq((-100L to -10L by 10L)))
+    assert(t2.chunks(0L).pendingOutliers.map(_.ts.toSeq) == Seq((0L to 90L by 10L)))
   }
 
   test("build stats expose the one-time preprocessing costs") {

@@ -1,7 +1,7 @@
 package repro.traj
 
 import repro.SparkSpec
-import repro.model.TrajDistance
+import repro.model.{Series, TrajDistance}
 
 class TrajGenSpec extends SparkSpec {
 
@@ -60,25 +60,16 @@ class TrajGenSpec extends SparkSpec {
 
   test("group members stay close to each other (lane cohesion)") {
     val pts = TrajGen.generateLocal(p).groupBy(_.objId)
-    def asArrays(objId: Long) = {
-      val s = pts(objId).sortBy(_.t)
-      (s.map(_.t), s.map(_.x), s.map(_.y))
-    }
-    val (t0, x0, y0) = asArrays(0L)
-    val (t1, x1, y1) = asArrays(1L) // same group
-    val (d, _) = TrajDistance.timeSyncStats(t0, x0, y0, t1, x1, y1)
+    def series(objId: Long) = Series.fromRows(pts(objId).map(q => (q.objId, q.t, q.x, q.y, 0.0)))
+    val (d, _) = TrajDistance.timeSyncStats(series(0L), series(1L)) // same group
     assert(d < 6 * p.laneWidth, s"lane mates drifted apart: d=$d")
   }
 
   test("members of different groups are usually far apart") {
     val pts = TrajGen.generateLocal(p.copy(seed = 11L)).groupBy(_.objId)
-    def asArrays(objId: Long) = {
-      val s = pts(objId).sortBy(_.t)
-      (s.map(_.t), s.map(_.x), s.map(_.y))
-    }
-    val (t0, x0, y0) = asArrays(0L)
-    val (tg, xg, yg) = asArrays(p.perGroup.toLong) // first member of group 1
-    val (d, _) = TrajDistance.timeSyncStats(t0, x0, y0, tg, xg, yg)
+    def series(objId: Long) = Series.fromRows(pts(objId).map(q => (q.objId, q.t, q.x, q.y, 0.0)))
+    // the first member of group 1
+    val (d, _) = TrajDistance.timeSyncStats(series(0L), series(p.perGroup.toLong))
     assert(d > 20.0, s"groups overlap unusually closely: d=$d")
   }
 
@@ -111,11 +102,5 @@ class TrajGenSpec extends SparkSpec {
   test("points() strips the label column") {
     val df = TrajGen.points(TrajGen.generate(spark, p))
     assert(df.columns.toSeq == Seq("obj_id", "t", "x", "y"))
-  }
-
-  test("SynthData.trajectories delegates with ~sf-scaled object counts") {
-    val df = repro.SynthData.trajectories(spark, sf = 0.01)
-    val n = df.select("obj_id").distinct().count()
-    assert(n >= 15 && n <= 40, s"expected a small MOD at sf=0.01, got $n objects")
   }
 }

@@ -1,6 +1,7 @@
 package repro.voting
 
 import repro.SparkSpec
+import repro.model.Series
 
 class SegmentationSpec extends SparkSpec {
 
@@ -79,16 +80,16 @@ class SegmentationSpec extends SparkSpec {
 
   test("segmentOne keeps a homogeneous gap-free trajectory whole") {
     val n = 30
-    val subs = Segmentation.segmentOne(1L, Array.tabulate(n)(_ * 10L),
-      Array.tabulate(n)(_.toDouble), new Array[Double](n), Array.fill(n)(2.0), P)
+    val subs = Segmentation.segmentOne(Series(1L, Array.tabulate(n)(_ * 10L),
+      Array.tabulate(n)(_.toDouble), new Array[Double](n), Array.fill(n)(2.0)), P)
     assert(subs.length == 1)
     assert(subs.head.subId == 0 && subs.head.size == n)
   }
 
   test("segmentOne splits at temporal gaps larger than maxGap") {
     val ts = Array(0L, 10L, 20L, 100L, 110L, 120L)
-    val subs = Segmentation.segmentOne(1L, ts, new Array[Double](6), new Array[Double](6),
-      Array.fill(6)(1.0), P)
+    val subs = Segmentation.segmentOne(Series(1L, ts, new Array[Double](6), new Array[Double](6),
+      Array.fill(6)(1.0)), P)
     assert(subs.length == 2)
     assert(subs(0).ts.toSeq == Seq(0L, 10L, 20L))
     assert(subs(1).ts.toSeq == Seq(100L, 110L, 120L))
@@ -97,15 +98,16 @@ class SegmentationSpec extends SparkSpec {
   test("segmentOne combines gap and voting splits, subIds consecutive in time") {
     val ts = (0 until 20).map(_ * 10L).toArray ++ (50 until 70).map(_ * 10L).toArray
     val votes = Array.fill(10)(0.0) ++ Array.fill(10)(10.0) ++ Array.fill(20)(5.0)
-    val subs = Segmentation.segmentOne(1L, ts, new Array[Double](40), new Array[Double](40),
-      votes, P.copy(lambda = 5.0, maxGap = 50L))
+    val subs = Segmentation.segmentOne(Series(1L, ts, new Array[Double](40), new Array[Double](40),
+      votes), P.copy(lambda = 5.0, maxGap = 50L))
     assert(subs.length == 3)
     assert(subs.map(_.subId).toSeq == Seq(0, 1, 2))
     assert(subs.map(_.tStart).toSeq == subs.map(_.tStart).sorted.toSeq)
   }
 
   test("segmentOne on empty input yields nothing") {
-    assert(Segmentation.segmentOne(1L, Array.empty, Array.empty, Array.empty, Array.empty, P).isEmpty)
+    assert(Segmentation.segmentOne(Series(1L, Array.empty, Array.empty, Array.empty, Array.empty), P)
+      .isEmpty)
   }
 
   test("segmentOne preserves the samples verbatim inside sub-trajectories") {
@@ -114,7 +116,7 @@ class SegmentationSpec extends SparkSpec {
     val xs = Array.tabulate(n)(i => i * 1.5)
     val ys = Array.tabulate(n)(i => -i * 0.5)
     val votes = Array.tabulate(n)(_.toDouble)
-    val subs = Segmentation.segmentOne(1L, ts, xs, ys, votes, P.copy(lambda = 1e9))
+    val subs = Segmentation.segmentOne(Series(1L, ts, xs, ys, votes), P.copy(lambda = 1e9))
     assert(subs.length == 1)
     assert(subs.head.xs.toSeq == xs.toSeq && subs.head.ys.toSeq == ys.toSeq &&
       subs.head.votes.toSeq == votes.toSeq)
@@ -135,8 +137,8 @@ class SegmentationSpec extends SparkSpec {
       .groupBy(_.objId)
     for (objId <- 1L to 4L) {
       val mine = rows.filter(_._1 == objId).sortBy(_._2)
-      val expected = Segmentation.segmentOne(objId, mine.map(_._2).toArray,
-        mine.map(_._3).toArray, mine.map(_._4).toArray, mine.map(_._5).toArray,
+      val expected = Segmentation.segmentOne(Series(objId, mine.map(_._2).toArray,
+        mine.map(_._3).toArray, mine.map(_._4).toArray, mine.map(_._5).toArray),
         P.copy(lambda = 5.0))
       val gotSorted = got(objId).sortBy(_.subId)
       assert(gotSorted.length == expected.length)
