@@ -12,7 +12,7 @@ import repro.rtree.{Box3D, RTree3D}
   *  (iii) applying clustering (S2T-Clustering, in our case)".
   *
   * Unlike QuT, this pipeline re-runs the full S2T stack — including the
-  * voting join, the dominant cost — over the whole window on every query.
+  * voting pass, the dominant cost — over the whole window on every query.
   */
 object RangeQueryS2T {
 

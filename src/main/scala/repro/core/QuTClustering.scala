@@ -13,7 +13,7 @@ import scala.collection.mutable
   *  - chunks fully inside W reuse their stored level-3 clusterings verbatim;
   *  - chunks partially covered are re-clustered on their clipped portion only
   *    — crucially reusing the stored votes (clipping cannot change a vote),
-  *    so only segmentation + SaCO are repeated, never the voting join;
+  *    so only segmentation + SaCO are repeated, never the voting pass;
   *  - clusters of consecutive chunks whose representatives meet at the shared
   *    boundary (within `mergeEps`, within `mergeGap` of the border) are
   *    merged into one time-spanning cluster.

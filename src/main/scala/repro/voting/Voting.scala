@@ -1,7 +1,8 @@
 package repro.voting
 
+import scala.collection.mutable
+
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
 import repro.model.TrajPoint
 
 /** The voting step of NaTS (phase 1 of S2T-Clustering).
@@ -13,81 +14,115 @@ import repro.model.TrajPoint
   * representativeness signal the segmentation phase then homogenizes; its
   * physical meaning is "how many objects co-move with r at time t".
   *
-  * Spark implementation: a set-based grid-bucketed spatio-temporal self-join —
-  * positions are bucketed into 3σ cells, the join matches equal timestamps and
-  * adjacent cells only, then aggregates per (object, timestamp). This is the
-  * in-DBMS formulation whose speedup over tuple-at-a-time evaluation the demo
-  * claims (see `repro.baselines.NaiveVoting` for the comparator).
+  * A vote at time t involves only the objects alive at t, so voting is
+  * time-partitioned: [[votes]] shuffles the points once, grouped by t, and
+  * runs [[kernel]] on each timestamp's set; [[votesLocal]] groups by t on the
+  * driver and runs the same kernel. The kernel hashes one timestamp's points
+  * into a grid of 3σ cells and visits each unordered pair within a cell and
+  * its forward neighbours once. This is the set-at-a-time, spatially indexed
+  * formulation whose speedup over tuple-at-a-time evaluation the demo claims
+  * (see `repro.baselines.NaiveVoting` for the comparator).
   */
 object Voting {
 
   /** Kernel truncation radius: contributions beyond `3σ` are dropped. */
   def cutoff(sigma: Double): Double = 3.0 * sigma
 
+  /** Grid cells are this much wider than the cutoff, so that rounding in
+    * `x / cell` cannot put two points within the cutoff two cells apart.
+    */
+  private val CellSlack = 1.0 + 1e-9
+
+  /** The forward half of a cell's 3x3 neighbourhood: with the cell itself
+    * it covers every adjacent pair of cells exactly once.
+    */
+  private val Forward = Array((1, -1), (1, 0), (1, 1), (0, 1))
+
   /** Distributed voting. Input: (obj_id, t, x, y) resampled on a common time
-    * grid. Output: same rows plus a `vote` column (0 for samples nobody is
-    * near).
+    * grid, at most one sample per (obj_id, t). Output: (obj_id, t, x, y,
+    * vote), one row per input row (vote 0 for samples nobody is near).
+    * Evaluation throws (root cause `IllegalArgumentException`) on duplicate
+    * (obj_id, t) samples and on non-finite x or y.
     */
   def votes(points: DataFrame, sigma: Double): DataFrame = {
     require(sigma > 0, s"sigma must be positive, got $sigma")
     val spark = points.sparkSession
     import spark.implicits._
-    val cut  = cutoff(sigma)
-    val cell = cut
-
-    val p = points
-      .select($"obj_id", $"t", $"x", $"y")
-      .withColumn("gx", floor($"x" / cell).cast("long"))
-      .withColumn("gy", floor($"y" / cell).cast("long"))
-
-    // Voter side, replicated into its 3x3 cell neighborhood so that each
-    // (votee, voter) pair within the cutoff meets in exactly one bucket.
-    val offsets = for { dx <- -1 to 1; dy <- -1 to 1 } yield (dx, dy)
-    val q = p
-      .select($"obj_id" as "q_obj", $"t" as "q_t", $"x" as "q_x", $"y" as "q_y",
-              $"gx" as "q_gx", $"gy" as "q_gy")
-      .withColumn("off", explode(array(offsets.map { case (dx, dy) =>
-        struct(lit(dx) as "dx", lit(dy) as "dy") }: _*)))
-      .withColumn("cgx", $"q_gx" + $"off.dx")
-      .withColumn("cgy", $"q_gy" + $"off.dy")
-
-    val d2 = (col("x") - col("q_x")) * (col("x") - col("q_x")) +
-             (col("y") - col("q_y")) * (col("y") - col("q_y"))
-
-    val contrib = p
-      .join(q, p("t") === q("q_t") && p("gx") === q("cgx") && p("gy") === q("cgy") &&
-               p("obj_id") =!= q("q_obj"))
-      .withColumn("d2", d2)
-      .where($"d2" <= lit(cut * cut))
-      .withColumn("w", exp(-$"d2" / lit(2 * sigma * sigma)))
-      .groupBy($"obj_id" as "v_obj", $"t" as "v_t")
-      .agg(sum($"w") as "vote")
-
-    points.select("obj_id", "t", "x", "y")
-      .join(contrib, points("obj_id") === contrib("v_obj") && points("t") === contrib("v_t"),
-            "left")
-      .select(points("obj_id"), points("t"), points("x"), points("y"),
-              coalesce($"vote", lit(0.0)) as "vote")
-  }
-
-  /** Reference implementation on the driver: hash points per timestamp, then
-    * an exact pairwise pass with the same truncation. Used by tests (must
-    * equal the Spark result) — not to be confused with the deliberately
-    * index-free [[repro.baselines.NaiveVoting]].
-    */
-  def votesLocal(points: Array[TrajPoint], sigma: Double): Map[(Long, Long), Double] = {
-    val cut2 = cutoff(sigma) * cutoff(sigma)
-    val byT = points.groupBy(_.t)
-    val out = Map.newBuilder[(Long, Long), Double]
-    for ((_, pts) <- byT; a <- pts) {
-      var v = 0.0
-      for (b <- pts if b.objId != a.objId) {
-        val dx = a.x - b.x; val dy = a.y - b.y
-        val d2 = dx * dx + dy * dy
-        if (d2 <= cut2) v += math.exp(-d2 / (2 * sigma * sigma))
+    points.select($"obj_id", $"t", $"x", $"y").as[(Long, Long, Double, Double)]
+      .groupByKey(_._2)
+      .flatMapGroups { (t: Long, rows: Iterator[(Long, Long, Double, Double)]) =>
+        val pts = rows.toArray
+        val v = kernel(t, pts.map(_._1), pts.map(_._3), pts.map(_._4), sigma)
+        pts.indices.iterator.map(i => (pts(i)._1, t, pts(i)._3, pts(i)._4, v(i)))
       }
-      out += ((a.objId, a.t) -> v)
-    }
-    out.result()
+      .toDF("obj_id", "t", "x", "y", "vote")
   }
+
+  /** Voting on the driver: group by t, then the same [[kernel]]. Keyed by
+    * (obj_id, t); same preconditions as [[votes]].
+    */
+  def votesLocal(points: Array[TrajPoint], sigma: Double): Map[(Long, Long), Double] =
+    points.groupBy(_.t).iterator.flatMap { case (t, pts) =>
+      val v = kernel(t, pts.map(_.objId), pts.map(_.x), pts.map(_.y), sigma)
+      pts.indices.iterator.map(i => (pts(i).objId, t) -> v(i))
+    }.toMap
+
+  /** The votes of one timestamp's samples: `objs(i)` at (`xs(i)`, `ys(i)`),
+    * all at time `t` (used only in error messages). Returns the votes aligned
+    * with the input.
+    *
+    * Points are hashed into cells of side (just over) 3σ; each unordered pair
+    * within a cell, or between a cell and one of its [[Forward]] neighbours,
+    * is visited once, and a pair with `d² ≤ (3σ)²` adds `exp(-d²/2σ²)` to
+    * both ends.
+    * Duplicate objects are rejected up front, so every visited pair is a pair
+    * of different objects.
+    */
+  def kernel(t: Long, objs: Array[Long], xs: Array[Double], ys: Array[Double],
+             sigma: Double): Array[Double] = {
+    require(sigma > 0, s"sigma must be positive, got $sigma")
+    val n = objs.length
+    require(xs.length == n && ys.length == n, s"parallel arrays must agree: $n/${xs.length}/${ys.length}")
+    for (i <- 0 until n)
+      require(xs(i).isFinite && ys(i).isFinite,
+        s"non-finite position (${xs(i)}, ${ys(i)}) of object ${objs(i)} at t=$t")
+    val ids = objs.clone()
+    java.util.Arrays.sort(ids)
+    for (i <- 1 until n)
+      require(ids(i) != ids(i - 1), s"duplicate samples of object ${ids(i)} at t=$t")
+
+    val cut2 = cutoff(sigma) * cutoff(sigma)
+    val inv2s2 = 1.0 / (2 * sigma * sigma)
+    val cell = cutoff(sigma) * CellSlack
+    val cells = mutable.LongMap.empty[mutable.ArrayBuffer[Int]]
+    for (i <- 0 until n)
+      cells.getOrElseUpdate(cellKey(axisCell(xs(i), cell), axisCell(ys(i), cell)),
+                            mutable.ArrayBuffer.empty[Int]) += i
+
+    val out = new Array[Double](n)
+    def pair(i: Int, j: Int): Unit = {
+      val dx = xs(i) - xs(j); val dy = ys(i) - ys(j)
+      val d2 = dx * dx + dy * dy
+      if (d2 <= cut2) {
+        val w = math.exp(-d2 * inv2s2)
+        out(i) += w; out(j) += w
+      }
+    }
+    cells.foreachEntry { (key, here) =>
+      for (a <- here.indices; b <- a + 1 until here.length) pair(here(a), here(b))
+      val cx = (key >> 32).toInt; val cy = key.toInt
+      for ((dx, dy) <- Forward; there <- cells.get(cellKey(cx + dx, cy + dy)); i <- here; j <- there)
+        pair(i, j)
+    }
+    out
+  }
+
+  /** Grid cell of coordinate `v` along one axis, clamped so that a cell and
+    * its neighbours fit in an Int. Clamping only merges far-off cells, which
+    * adds candidate pairs but never separates two points within the cutoff.
+    */
+  private def axisCell(v: Double, cell: Double): Int =
+    math.max(Int.MinValue + 1L, math.min(Int.MaxValue - 1L, math.floor(v / cell).toLong)).toInt
+
+  private def cellKey(cx: Int, cy: Int): Long = (cx.toLong << 32) | (cy & 0xffffffffL)
 }

@@ -1,7 +1,12 @@
 package repro.voting
 
+import scala.util.Random
+
+import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanExec
+import org.apache.spark.sql.execution.exchange.ShuffleExchangeLike
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
+import repro.baselines.NaiveVoting
 import repro.model.TrajPoint
 import repro.traj.TrajGen
 
@@ -141,5 +146,136 @@ class VotingSpec extends SparkSpec {
          |GROUP BY 1, 2
          |""".stripMargin
     Oracle.assertEquivalent(sparkSide, sql, "pts" -> pts)
+  }
+
+  private def rootCause(e: Throwable): Throwable =
+    Iterator.iterate(e)(_.getCause).takeWhile(_ != null).toSeq.last
+
+  /** Runs `body` and checks it fails with an IllegalArgumentException (as the
+    * root cause, for the Spark path) whose message contains every `parts`.
+    */
+  private def assertRejected(parts: String*)(body: => Any): Unit = {
+    val e = rootCause(intercept[Exception](body))
+    assert(e.isInstanceOf[IllegalArgumentException], s"got $e")
+    parts.foreach(part => assert(e.getMessage.contains(part), s"'${e.getMessage}' lacks '$part'"))
+  }
+
+  private val duplicated = Seq(TrajPoint(3, 0, 0, 0), TrajPoint(7, 10, 1, 1),
+                               TrajPoint(3, 10, 0, 0), TrajPoint(7, 10, 50, 50))
+
+  test("duplicate (obj_id, t) samples are rejected on the Spark path") {
+    assertRejected("duplicate", "object 7", "t=10") { Voting.votes(df(duplicated), 1.5).collect() }
+  }
+
+  test("duplicate (obj_id, t) samples are rejected by votesLocal") {
+    assertRejected("duplicate", "object 7", "t=10") { Voting.votesLocal(duplicated.toArray, 1.5) }
+  }
+
+  private val nonFinite = Seq(
+    Seq(TrajPoint(1, 0, 0, 0), TrajPoint(2, 20, Double.NaN, 0)),
+    Seq(TrajPoint(1, 20, 0, 0), TrajPoint(2, 20, 0, Double.NegativeInfinity)))
+
+  test("non-finite coordinates are rejected on the Spark path") {
+    nonFinite.foreach(pts =>
+      assertRejected("non-finite", "object 2", "t=20") { Voting.votes(df(pts), 1.5).collect() })
+  }
+
+  test("non-finite coordinates are rejected by votesLocal") {
+    nonFinite.foreach(pts =>
+      assertRejected("non-finite", "object 2", "t=20") { Voting.votesLocal(pts.toArray, 1.5) })
+  }
+
+  test("a pair exactly at the cutoff across a diagonal cell votes exp(-4.5)") {
+    val sigma = 5.0 / 3 // cutoff 5: a 3-4-5 offset is exactly the cutoff
+    assert(Voting.cutoff(sigma) == 5.0)
+    def vote(a: (Double, Double), d: (Double, Double)) =
+      Voting.kernel(0, Array(1L, 2L), Array(a._1, a._1 + d._1), Array(a._2, a._2 + d._2), sigma)
+    // cells (0,0)->(1,1), (0,0)->(1,-1), (0,0)->(-1,1), (-1,-1)->(-2,-2)
+    for ((a, d) <- Seq(((4.5, 4.5), (3.0, 4.0)), ((4.5, 0.5), (3.0, -4.0)),
+                       ((0.5, 4.5), (-4.0, 3.0)), ((-4.5, -4.5), (-3.0, -4.0))))
+      vote(a, d).foreach(v => assert(math.abs(v - math.exp(-4.5)) < 1e-12, s"$a + $d: $v"))
+    assert(vote((4.5, 4.5), (3.0, 4.000001)).forall(_ == 0.0))
+  }
+
+  /** Random timestamps mixing the layouts the grid must get right. Cutoffs
+    * are exact binary fractions, so border and cutoff cases are exact.
+    */
+  private def randomMod(seed: Int): (Double, Array[TrajPoint]) = {
+    val rnd = new Random(seed)
+    val cut = Seq(2.5, 5.0, 10.0)(rnd.nextInt(3))
+    val sigma = cut / 3
+    assert(Voting.cutoff(sigma) == cut)
+    def objects(n: Int) = rnd.shuffle((1L to 40L).toList).take(n)
+    def cellCorner() = (cut * (rnd.nextInt(9) - 4), cut * (rnd.nextInt(9) - 4))
+    val pts = (0L until 15L).flatMap { step =>
+      val t = step * 10
+      step % 5 match {
+        case 0 => // uniform over negative and positive coordinates
+          objects(10 + rnd.nextInt(20)).map(o =>
+            TrajPoint(o, t, (rnd.nextDouble() - 0.5) * 8 * cut, (rnd.nextDouble() - 0.5) * 8 * cut))
+        case 1 => // on cell borders: x = k·3σ and/or y = m·3σ
+          objects(15).map { o =>
+            val (x, y) = cellCorner()
+            TrajPoint(o, t, x, if (rnd.nextBoolean()) y else y + rnd.nextDouble() * cut)
+          }
+        case 2 => // pairs exactly at the cutoff, across a diagonal or an edge
+          objects(12).grouped(2).flatMap { case Seq(a, b) =>
+            val (x, y) = cellCorner()
+            val (ax, ay) = (x + 0.75 * cut, y + 0.5 * cut)
+            val (dx, dy) = Seq((0.6, 0.8), (0.6, -0.8), (-0.8, 0.6), (1.0, 0.0), (0.0, -1.0))(rnd.nextInt(5))
+            Seq(TrajPoint(a, t, ax, ay), TrajPoint(b, t, ax + dx * cut, ay + dy * cut))
+          }.toSeq
+        case 3 => // all points in one cell
+          val (x, y) = cellCorner()
+          objects(8).map(o => TrajPoint(o, t, x + rnd.nextDouble() * cut * 0.99,
+                                        y + rnd.nextDouble() * cut * 0.99))
+        case _ => // a lone sample
+          objects(1).map(o => TrajPoint(o, t, rnd.nextGaussian() * cut, rnd.nextGaussian() * cut))
+      }
+    }
+    (sigma, rnd.shuffle(pts).toArray)
+  }
+
+  test("property: votes, votesLocal and NaiveVoting agree on random inputs") {
+    for (seed <- 1 to 24) {
+      val (sigma, pts) = randomMod(seed)
+      val naive = NaiveVoting.votes(pts, sigma)
+      val local = Voting.votesLocal(pts, sigma)
+      val spark = Voting.votes(df(pts.toSeq), sigma).collect()
+        .map(r => (r.getAs[Long]("obj_id"), r.getAs[Long]("t")) -> r.getAs[Double]("vote")).toMap
+      assert(local.size == pts.length && spark.size == pts.length, s"seed $seed")
+      pts.indices.foreach { i =>
+        val k = (pts(i).objId, pts(i).t)
+        assert(math.abs(local(k) - naive(i)) <= 1e-9, s"seed $seed at $k: local ${local(k)} vs ${naive(i)}")
+        assert(math.abs(spark(k) - naive(i)) <= 1e-9, s"seed $seed at $k: spark ${spark(k)} vs ${naive(i)}")
+      }
+      assert(naive.exists(_ > 0) && naive.contains(0.0), s"seed $seed exercises too little")
+    }
+  }
+
+  test("votes keeps exactly the input's (obj_id, t) rows, extra columns dropped") {
+    import spark.implicits._
+    val p = TrajGen.Params(nGroups = 2, perGroup = 3, nNoise = 2, tSteps = 12, seed = 4L)
+    val labeled = TrajGen.generate(spark, p)
+    assert(labeled.columns.contains("label"))
+    val got = Voting.votes(labeled, 1.5)
+    assert(got.columns.toSeq == Seq("obj_id", "t", "x", "y", "vote"))
+    val in = labeled.select("obj_id", "t").as[(Long, Long)].collect()
+    val out = got.select("obj_id", "t").as[(Long, Long)].collect()
+    assert(out.length == in.length)
+    assert(out.sorted.toSeq == in.sorted.toSeq)
+  }
+
+  test("plan guard: Spark voting shuffles exactly once") {
+    // Several input partitions and no exchange of their own (a local table
+    // has one partition and would need none).
+    val pts = spark.range(0, 24, 1, 4).select(col("id") as "obj_id", col("id") % 3 as "t",
+                                              col("id").cast("double") as "x", lit(0.0) as "y")
+    val plan = Voting.votes(pts, 1.5).queryExecution.executedPlan match {
+      case a: AdaptiveSparkPlanExec => a.initialPlan // exchanges planned, AQE not yet run
+      case p => p
+    }
+    val shuffles = plan.collect { case e: ShuffleExchangeLike => e }
+    assert(shuffles.length == 1, s"expected one shuffle exchange, plan:\n$plan")
   }
 }
