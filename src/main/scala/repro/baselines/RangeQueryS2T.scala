@@ -29,30 +29,28 @@ object RangeQueryS2T {
     import spark.implicits._
 
     // (i) temporal range query
-    val (window, tRange) = timed {
-      val w = points.where(col("t") >= w0 && col("t") < w1).cache()
-      w.count()
-      w
-    }
+    val window = points.where(col("t") >= w0 && col("t") < w1).cache()
+    try {
+      val (_, tRange) = timed(window.count())
 
-    // (ii) R-tree on the result (per-object MBBs, as pg3D-Rtree indexes
-    // trajectories)
-    val (rtree, tRtree) = timed {
-      val boxes = window
-        .groupBy("obj_id")
-        .agg(min("x") as "minx", max("x") as "maxx",
-             min("y") as "miny", max("y") as "maxy",
-             min("t") as "mint", max("t") as "maxt")
-        .as[(Long, Double, Double, Double, Double, Long, Long)]
-        .collect()
-      RTree3D.bulkLoad(boxes.zipWithIndex.map { case ((_, x0, x1, y0, y1, t0, t1), i) =>
-        (Box3D(x0, x1, y0, y1, t0, t1), i)
-      }.toIndexedSeq)
-    }
+      // (ii) R-tree on the result (per-object MBBs, as pg3D-Rtree indexes
+      // trajectories)
+      val (rtree, tRtree) = timed {
+        val boxes = window
+          .groupBy("obj_id")
+          .agg(min("x") as "minx", max("x") as "maxx",
+               min("y") as "miny", max("y") as "maxy",
+               min("t") as "mint", max("t") as "maxt")
+          .as[(Long, Double, Double, Double, Double, Long, Long)]
+          .collect()
+        RTree3D.bulkLoad(boxes.zipWithIndex.map { case ((_, x0, x1, y0, y1, t0, t1), i) =>
+          (Box3D(x0, x1, y0, y1, t0, t1), i)
+        }.toIndexedSeq)
+      }
 
-    // (iii) full S2T-Clustering on the window
-    val s2t = S2TClustering.run(window, p)
-    window.unpersist()
-    Result(s2t, rtree, Timings(tRange, tRtree, s2t.timings))
+      // (iii) full S2T-Clustering on the window
+      val s2t = S2TClustering.run(window, p)
+      Result(s2t, rtree, Timings(tRange, tRtree, s2t.timings))
+    } finally window.unpersist()
   }
 }

@@ -1,6 +1,5 @@
 package repro.core
 
-import repro.Timing.timed
 import repro.model.{Assignment, SubTraj}
 import repro.retratree.{ReTraTree, SubChunkClustering}
 
@@ -28,14 +27,12 @@ object QuTClustering {
     def tEnd: Long   = reps.map(_.tEnd).max
   }
 
-  final case class Timings(reuseMs: Long, recomputeMs: Long, mergeMs: Long,
-                           reusedChunks: Int, recomputedChunks: Int) {
-    def totalMs: Long = reuseMs + recomputeMs + mergeMs
-  }
-
+  /** The answer, and how many queried chunks reused their stored level-3
+    * clusterings or were re-clustered from level 4.
+    */
   final case class Result(clusters: Array[Cluster],
                           outliers: Array[Assignment],
-                          timings: Timings) {
+                          nReusedChunks: Int, nRecomputedChunks: Int) {
     def nClusters: Int = clusters.length
     def nOutliers: Int = outliers.length
   }
@@ -56,7 +53,6 @@ object QuTClustering {
     // Per-chunk clusterings over W: (chunkId, sub-chunk clusterings).
     val perChunk = mutable.ArrayBuffer.empty[(Long, Vector[SubChunkClustering])]
     var reused = 0; var recomputed = 0
-    var reuseMs = 0L; var recomputeMs = 0L
 
     for (chunkId <- c0 to c1) {
       tree.chunks.get(chunkId) match {
@@ -64,24 +60,20 @@ object QuTClustering {
         case Some(cc) =>
           val fullyCovered = w0 <= tree.chunkStart(chunkId) && tree.chunkEnd(chunkId) <= w1
           if (fullyCovered) {
-            val (r, ms) = timed { (chunkId, cc.subChunks) }
-            perChunk += r; reuseMs += ms; reused += 1
+            perChunk += ((chunkId, cc.subChunks)); reused += 1
           } else {
-            val (r, ms) = timed {
-              val lo = math.max(w0, tree.chunkStart(chunkId))
-              val hi = math.min(w1, tree.chunkEnd(chunkId))
-              // Stored votes are reused; only samples outside W are dropped.
-              val clipped = tree.loadChunk(chunkId).flatMap(_.clip(lo, hi))
-              (chunkId, tree.clusterSeries(chunkId, clipped))
-            }
-            perChunk += r; recomputeMs += ms; recomputed += 1
+            val lo = math.max(w0, tree.chunkStart(chunkId))
+            val hi = math.min(w1, tree.chunkEnd(chunkId))
+            // Stored votes are reused; only samples outside W are dropped.
+            val clipped = tree.loadChunk(chunkId).flatMap(_.clip(lo, hi))
+            perChunk += ((chunkId, tree.clusterSeries(chunkId, clipped))); recomputed += 1
           }
       }
     }
 
     // Merge step: union-find over chunk-level clusters keyed by
     // (chunkId, subChunkId, repIdx).
-    val ((clusters, outliers), mergeMs) = timed {
+    val (clusters, outliers) = {
       type Key = (Long, Int, Int)
       val parent = mutable.Map.empty[Key, Key]
       def find(k: Key): Key = { val p0 = parent.getOrElse(k, k); if (p0 == k) k else { val r = find(p0); parent(k) = r; r } }
@@ -118,17 +110,16 @@ object QuTClustering {
 
       val groups = repOf.keys.toSeq.groupBy(find)
       val clusters = groups.toSeq
-        .sortBy { case (_, ks) => ks.map(k => (k._1, k._2, k._3)).min }
+        .sortBy { case (_, ks) => ks.min }
         .zipWithIndex
         .map { case ((_, ks), id) =>
-          val sortedKs = ks.sortBy(k => (k._1, k._2, k._3))
+          val sortedKs = ks.sorted
           Cluster(id, sortedKs.map(repOf).toArray, sortedKs.map(membersOf).sum)
         }
         .toArray
       (clusters, allOutliers.toArray)
     }
 
-    Result(clusters, outliers,
-           Timings(reuseMs, recomputeMs, mergeMs, reused, recomputed))
+    Result(clusters, outliers, reused, recomputed)
   }
 }

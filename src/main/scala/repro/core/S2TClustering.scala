@@ -59,15 +59,11 @@ object S2TClustering {
     * on a common time grid.
     */
   def run(points: DataFrame, p: Params): Result = {
-    val (voted, tVote) = timed {
-      val v = Voting.votes(points, p.sigma).persist(StorageLevel.MEMORY_AND_DISK)
-      v.count() // force, so the phase timing is honest
-      v
-    }
-    val (subs, tSeg) = timed {
-      Segmentation.segmentTrajectories(voted, p.segmentation).collect()
-    }
-    voted.unpersist()
+    val voted = Voting.votes(points, p.sigma).persist(StorageLevel.MEMORY_AND_DISK)
+    val ((subs, tSeg), tVote) = try {
+      val (_, tVote) = timed(voted.count()) // force, so the phase timing is honest
+      (timed(Segmentation.segmentTrajectories(voted, p.segmentation).collect()), tVote)
+    } finally voted.unpersist()
     val (reps, tSample) = timed { Sampling.select(subs, p.sampling) }
     val (assignments, tCluster) = timed {
       val spark = points.sparkSession

@@ -32,9 +32,6 @@ object Experiments {
     (line(header) +: sep +: rows.map(line)).mkString("\n")
   }
 
-  private def freshDir(prefix: String): String =
-    Files.createTempDirectory(prefix).toString
-
   /** The standard MOD for performance runs: ~80% of objects in groups of 10. */
   def mod(spark: SparkSession, nObjects: Int, tSteps: Int, seed: Long = 42L,
           switchFrac: Double = 0.2, groupSpan: Double = 1.0): TrajGen.Params = {
@@ -90,29 +87,31 @@ object Experiments {
     val p = mod(spark, nObjects, nChunks * stepsPerChunk)
     val df = TrajGen.points(TrajGen.generate(spark, p)).cache()
     df.count()
-    val dir = freshDir("retratree")
+    val dir = Files.createTempDirectory("retratree")
     val s2tParams = S2TClustering.Params(maxReps = 128)
-    val (tree, buildStats) = ReTraTree.build(
-      df, ReTraTree.Params(tau = tau, s2t = s2tParams), dir)
-    // Warm the parquet-read path once (datasource/codegen initialization)
-    // so the first measured boundary recomputation reflects steady state.
-    tree.loadChunk(tree.chunks.firstKey)
+    try {
+      val (tree, buildStats) = ReTraTree.build(
+        df, ReTraTree.Params(tau = tau, s2t = s2tParams), dir.toString)
 
-    val windows: Seq[(Double, Boolean, Long, Long)] =
-      Seq(1, 2, 4, 8).map(k => (k.toDouble, true, 0L, k * tau)) ++
-      Seq(1, 2, 4).map(k => (k + 0.0, false, tau / 2, tau / 2 + k * tau))
+      val windows: Seq[(Double, Boolean, Long, Long)] =
+        Seq(1, 2, 4, 8).map(k => (k.toDouble, true, 0L, k * tau)) ++
+        Seq(1, 2, 4).map(k => (k + 0.0, false, tau / 2, tau / 2 + k * tau))
 
-    val rows = windows.map { case (wChunks, aligned, w0, w1) =>
-      val (qut, qutMs) = timed(QuTClustering.query(tree, w0, w1))
-      val base = RangeQueryS2T.query(df, w0, w1, s2tParams)
-      val baseMs = base.timings.totalMs
-      E2Row(wChunks, aligned, qutMs, baseMs,
-            baseMs.toDouble / math.max(1L, qutMs),
-            qut.nClusters, base.s2t.nClusters,
-            qut.timings.reusedChunks, qut.timings.recomputedChunks)
+      val rows = windows.map { case (wChunks, aligned, w0, w1) =>
+        val (qut, qutMs) = timed(QuTClustering.query(tree, w0, w1))
+        val base = RangeQueryS2T.query(df, w0, w1, s2tParams)
+        val baseMs = base.timings.totalMs
+        E2Row(wChunks, aligned, qutMs, baseMs,
+              baseMs.toDouble / math.max(1L, qutMs),
+              qut.nClusters, base.s2t.nClusters,
+              qut.nReusedChunks, qut.nRecomputedChunks)
+      }
+      E2Result(buildStats, rows)
+    } finally {
+      df.unpersist()
+      dir.toFile.listFiles.foreach(f => Files.delete(f.toPath)) // the tree's flat level 4
+      Files.delete(dir)
     }
-    df.unpersist()
-    E2Result(buildStats, rows)
   }
 
   def formatE2(r: E2Result): String = {

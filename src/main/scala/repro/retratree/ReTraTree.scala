@@ -1,15 +1,16 @@
 package repro.retratree
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
-import org.apache.spark.storage.StorageLevel
+import org.apache.spark.sql.DataFrame
 import repro.Timing.timed
 import repro.core.S2TClustering
 import repro.model.{Assignment, Series, SubTraj, TrajPoint}
 import repro.voting.{Segmentation, Voting}
 
+import java.io.{BufferedInputStream, BufferedOutputStream, DataInputStream, DataOutputStream}
+import java.nio.file.{Files, Path, Paths}
 import scala.collection.immutable.SortedMap
 import scala.collection.mutable.ArrayBuffer
+import scala.util.Using
 
 /** Level-3 node: the clusters of one lifespan sub-chunk — the sampling set
   * (representatives) and the assignment of every sub-trajectory to a
@@ -18,7 +19,6 @@ import scala.collection.mutable.ArrayBuffer
 final case class SubChunkClustering(subChunkId: Int, reps: Array[SubTraj],
                                     assignments: Array[Assignment]) {
   def nClusters: Int = reps.length
-  def nOutliers: Int = assignments.count(_.clusterId == Assignment.Outlier)
 }
 
 /** Levels 2–3 state of one temporal chunk: its sub-chunk clusterings, the
@@ -34,8 +34,6 @@ final class ChunkClustering(val chunkId: Long) {
 
   def allReps: Array[SubTraj] = subChunks.flatMap(_.reps).toArray
   def nClusters: Int = subChunks.map(_.nClusters).sum
-  def nMembers: Int =
-    subChunks.map(_.assignments.count(_.clusterId != Assignment.Outlier)).sum + appended.length
 }
 
 /** ReTraTree — the hierarchical structure behind QuT-Clustering [10].
@@ -46,9 +44,9 @@ final class ChunkClustering(val chunkId: Long) {
   *     where in the chunk they live);
   *  3. per-sub-chunk clusters: representatives + member assignments,
   *     produced by the S2T machinery (this is the in-memory part);
-  *  4. data storage: the voted samples, written as parquet partitioned by
-  *     chunk id (the disk-partition analog of `pg3D-Rtree-k`); retrieval is
-  *     chunk-partition pruning.
+  *  4. data storage: the voted samples, one file per chunk under `dataDir`
+  *     (the disk-partition analog of `pg3D-Rtree-k`); retrieval reads that
+  *     one file.
   *
   * Temporal chunking has a structural consequence this implementation leans
   * on: a vote at time t only involves objects alive at t, so voting never
@@ -56,8 +54,7 @@ final class ChunkClustering(val chunkId: Long) {
   * of the query window W. QuT therefore **never re-votes** — that is the
   * source of its speedup over the range-query+S2T baseline.
   */
-final class ReTraTree(val params: ReTraTree.Params, val dataDir: String,
-                      @transient val spark: SparkSession) extends Serializable {
+final class ReTraTree(val params: ReTraTree.Params, val dataDir: String) {
 
   var chunks: SortedMap[Long, ChunkClustering] = SortedMap.empty
 
@@ -68,21 +65,14 @@ final class ReTraTree(val params: ReTraTree.Params, val dataDir: String,
     math.min(params.subChunksPerChunk - 1, ((tStart - chunkStart(chunkId)) / w).toInt)
   }
 
-  /** Total clusters currently indexed (level 3 cardinality). */
-  def nClusters: Int = chunks.valuesIterator.map(_.nClusters).sum
+  private def chunkFile(chunkId: Long): Path = Paths.get(dataDir, s"chunk_$chunkId.l4")
 
-  /** Read one chunk's voted samples back from the level-4 parquet partition.
-    * Partition pruning applies — only that chunk's files are scanned.
+  /** Read one chunk's voted samples back from its level-4 file, in the order
+    * the build clustered them; empty for a chunk that only inserts created.
     */
   def loadChunk(chunkId: Long): Array[Series] = {
-    import spark.implicits._
-    spark.read.parquet(dataDir)
-      .where(col("chunk_id") === chunkId)
-      .select("obj_id", "t", "x", "y", "vote").as[(Long, Long, Double, Double, Double)]
-      .collect()
-      .groupBy(_._1)
-      .map { case (_, rows) => Series.fromRows(rows) }
-      .toArray
+    val f = chunkFile(chunkId)
+    if (Files.exists(f)) ReTraTree.readChunk(f) else Array.empty
   }
 
   /** Cluster the given (already voted) series of one chunk: segmentation,
@@ -170,54 +160,79 @@ object ReTraTree {
       subChunksPerChunk: Int = 2,
       reclusterThreshold: Int = 16,
       s2t: S2TClustering.Params = S2TClustering.Params()
-  ) { require(tau > 0, s"tau must be positive, got $tau") }
+  ) {
+    require(tau > 0, s"tau must be positive, got $tau")
+    require(subChunksPerChunk >= 1, s"subChunksPerChunk must be at least 1, got $subChunksPerChunk")
+    require(reclusterThreshold >= 1, s"reclusterThreshold must be at least 1, got $reclusterThreshold")
+  }
 
-  /** Build timings (the one-time preprocessing cost, reported in E2). */
+  /** Build timings (the one-time preprocessing cost, reported in E2): the
+    * Spark job that votes and collects per-(chunk, object) series, the
+    * level-4 file writes, and segmentation + SaCO per chunk on the driver.
+    */
   final case class BuildStats(votingMs: Long, writeMs: Long, clusterMs: Long,
                               nChunks: Int) {
     def totalMs: Long = votingMs + writeMs + clusterMs
   }
 
-  /** Build the tree over a MOD DataFrame (obj_id, t, x, y).
-    *
-    * One global Spark voting pass (chunking cannot change votes), a
-    * partitioned parquet write (level 4), then per-chunk segmentation +
-    * SaCO. Segmentation is distributed over (chunk, object) groups; the
-    * central SaCO runs per chunk on the driver, as in Hermes.
+  /** Build the tree over a MOD DataFrame (obj_id, t, x, y): one global
+    * Spark voting pass (chunking cannot change votes), collected as
+    * per-(chunk, object) series; one level-4 file per chunk under `dataDir`
+    * (created if missing, cleared of an earlier tree's level 4); then
+    * segmentation + SaCO per chunk on the driver, as in Hermes.
     */
   def build(points: DataFrame, params: Params, dataDir: String): (ReTraTree, BuildStats) = {
     val spark = points.sparkSession
     import spark.implicits._
+    val tau = params.tau // the closure below captures this, not the tree
 
-    val (voted, tVote) = timed {
-      val v = Voting.votes(points, params.s2t.sigma)
-        .withColumn("chunk_id", floor(col("t") / params.tau).cast("long"))
-        .persist(StorageLevel.MEMORY_AND_DISK)
-      v.count()
-      v
-    }
-    val (_, tWrite) = timed {
-      voted.write.mode("overwrite").partitionBy("chunk_id").parquet(dataDir)
-    }
-
-    val tree = new ReTraTree(params, dataDir, spark)
-    val (_, tCluster) = timed {
-      // Distributed per-(chunk, object) collection into voted series.
-      val series = voted
-        .select("chunk_id", "obj_id", "t", "x", "y", "vote")
-        .as[(Long, Long, Long, Double, Double, Double)]
-        .groupByKey(r => (r._1, r._2))
-        .mapGroups { (key: (Long, Long), it: Iterator[(Long, Long, Long, Double, Double, Double)]) =>
-          (key._1, Series.fromRows(it.map(r => (r._2, r._3, r._4, r._5, r._6)).toArray))
+    val (byChunk, tVote) = timed {
+      Voting.votes(points, params.s2t.sigma)
+        .as[(Long, Long, Double, Double, Double)]
+        .groupByKey(r => (math.floorDiv(r._2, tau), r._1))
+        .mapGroups { (key: (Long, Long), rows: Iterator[(Long, Long, Double, Double, Double)]) =>
+          (key._1, Series.fromRows(rows.toArray))
         }
         .collect()
-      for ((chunkId, chunkSeries) <- series.groupBy(_._1).toSeq.sortBy(_._1)) {
+        .groupBy(_._1).toSeq.sortBy(_._1)
+        .map { case (chunkId, rows) => chunkId -> rows.map(_._2) }
+    }
+
+    val tree = new ReTraTree(params, dataDir)
+    val (_, tWrite) = timed {
+      val dir = Files.createDirectories(Paths.get(dataDir))
+      Using.resource(Files.newDirectoryStream(dir, "chunk_*.l4"))(_.forEach(Files.delete(_)))
+      for ((chunkId, series) <- byChunk) writeChunk(tree.chunkFile(chunkId), series)
+    }
+    val (_, tCluster) = timed {
+      for ((chunkId, series) <- byChunk) {
         val cc = new ChunkClustering(chunkId)
-        cc.subChunks = tree.clusterSeries(chunkId, chunkSeries.map(_._2))
+        cc.subChunks = tree.clusterSeries(chunkId, series)
         tree.chunks = tree.chunks.updated(chunkId, cc)
       }
     }
-    voted.unpersist()
     (tree, BuildStats(tVote, tWrite, tCluster, tree.chunks.size))
   }
+
+  /** Level-4 file layout: the number of series, then per series its object
+    * id, its sample count n, and its columns t, x, y and vote (n values each).
+    */
+  private[retratree] def writeChunk(f: Path, series: Array[Series]): Unit =
+    Using.resource(new DataOutputStream(new BufferedOutputStream(Files.newOutputStream(f)))) { out =>
+      out.writeInt(series.length)
+      for (s <- series) {
+        out.writeLong(s.objId); out.writeInt(s.size)
+        s.ts.foreach(out.writeLong(_)); Seq(s.xs, s.ys, s.votes).foreach(_.foreach(out.writeDouble(_)))
+      }
+    }
+
+  private[retratree] def readChunk(f: Path): Array[Series] =
+    Using.resource(new DataInputStream(new BufferedInputStream(Files.newInputStream(f)))) { in =>
+      Array.fill(in.readInt()) {
+        val (objId, n) = (in.readLong(), in.readInt())
+        def doubles() = Array.fill(n)(in.readDouble())
+        // Arguments are evaluated left to right: t, x, y, vote.
+        Series(objId, Array.fill(n)(in.readLong()), doubles(), doubles(), doubles())
+      }
+    }
 }

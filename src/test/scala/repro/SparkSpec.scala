@@ -1,8 +1,16 @@
 package repro
 
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.SparkSession
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
+
+import java.nio.file.{Files, Path}
+import java.util.Comparator
+import java.util.concurrent.{ConcurrentLinkedQueue, TimeUnit}
+import scala.collection.mutable
+import scala.jdk.CollectionConverters._
+import scala.util.Using
 
 /** Base for every test: one local-mode SparkSession for the whole run.
   *
@@ -15,10 +23,60 @@ import org.scalatest.funsuite.AnyFunSuite
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
 
-  override def afterAll(): Unit = { super.afterAll() }
+  private val tempDirs = mutable.ArrayBuffer.empty[Path]
+
+  /** A fresh temporary directory, deleted with its contents after the suite. */
+  def tempDir(prefix: String): String = {
+    val d = Files.createTempDirectory(prefix)
+    tempDirs += d
+    d.toString
+  }
+
+  override def afterAll(): Unit = {
+    try tempDirs.foreach(d =>
+      Using.resource(Files.walk(d))(_.sorted(Comparator.reverseOrder[Path]()).forEach(Files.delete(_))))
+    finally super.afterAll()
+  }
+
+  /** Runs `body`, which must throw with `reason` in the message of some
+    * exception in its cause chain, and checks that the session caches the
+    * same RDDs afterwards as before.
+    */
+  def assertRejectedWithoutLeak(reason: String)(body: => Any): Unit = {
+    val before = spark.sparkContext.getPersistentRDDs.keySet
+    val e = intercept[Exception](body)
+    assert(Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null)
+      .exists(c => String.valueOf(c.getMessage).contains(reason)), e.toString)
+    assert(spark.sparkContext.getPersistentRDDs.keySet == before, "a cached dataset leaked")
+  }
+
+  /** The number of Spark jobs that `body` starts. A marked job run after
+    * `body` flushes the asynchronous listener bus: once its start event
+    * arrives, every job `body` started has been seen.
+    */
+  def jobsDuring(body: => Any): Int = {
+    val sc = spark.sparkContext
+    val marks = new ConcurrentLinkedQueue[Boolean]()
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        marks.add(Option(e.properties).exists(_.getProperty(SparkSpec.MarkKey) != null))
+    }
+    sc.addSparkListener(listener)
+    try {
+      body
+      sc.setLocalProperty(SparkSpec.MarkKey, "true")
+      try sc.parallelize(Seq(1), 1).count() finally sc.setLocalProperty(SparkSpec.MarkKey, null)
+      val deadline = System.nanoTime() + TimeUnit.SECONDS.toNanos(30)
+      while (!marks.contains(true) && System.nanoTime() < deadline) Thread.sleep(10)
+      assert(marks.contains(true), "the listener never saw the marked job")
+      marks.asScala.takeWhile(!_).size
+    } finally sc.removeSparkListener(listener)
+  }
 }
 
 object SparkSpec {
+  private val MarkKey = "repro.test.jobsDuringMark"
+
   lazy val shared: SparkSession = {
     val s = SparkSession.builder
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))

@@ -52,6 +52,12 @@ class RangeQueryS2TSpec extends SparkSpec {
     assert(t.totalMs == t.rangeQueryMs + t.rtreeBuildMs + t.s2t.totalMs)
   }
 
+  test("a rejected query releases the window it cached") {
+    pointsDf.count() // the input's own cache is not the query's
+    val dup = pointsDf.union(pointsDf.where("obj_id = 0 AND t = 0"))
+    assertRejectedWithoutLeak("duplicate samples")(RangeQueryS2T.query(dup, 0L, 200L, S2TClustering.Params()))
+  }
+
   test("R-tree boxes cover the window's temporal extent only") {
     val w0 = 100L; val w1 = 300L
     val r = RangeQueryS2T.query(pointsDf, w0, w1, S2TClustering.Params())

@@ -4,8 +4,6 @@ import repro.SparkSpec
 import repro.retratree.ReTraTree
 import repro.traj.TrajGen
 
-import java.nio.file.Files
-
 class QuTClusteringSpec extends SparkSpec {
 
   private val genParams = TrajGen.Params(nGroups = 2, perGroup = 6, nNoise = 4,
@@ -14,30 +12,35 @@ class QuTClusteringSpec extends SparkSpec {
 
   private lazy val pointsDf = TrajGen.points(TrajGen.generate(spark, genParams)).cache()
   private lazy val tree = {
-    val dir = Files.createTempDirectory("qut-spec").toString
-    ReTraTree.build(pointsDf, ReTraTree.Params(tau = tau), dir)._1
+    ReTraTree.build(pointsDf, ReTraTree.Params(tau = tau), tempDir("qut-spec"))._1
   }
 
   test("an aligned window reuses chunk clusterings and recomputes nothing") {
     val r = QuTClustering.query(tree, 0L, 400L)
-    assert(r.timings.reusedChunks == 2)
-    assert(r.timings.recomputedChunks == 0)
+    assert(r.nReusedChunks == 2)
+    assert(r.nRecomputedChunks == 0)
   }
 
   test("the full horizon reuses every chunk") {
     val r = QuTClustering.query(tree, 0L, 800L)
-    assert(r.timings.reusedChunks == 4 && r.timings.recomputedChunks == 0)
+    assert(r.nReusedChunks == 4 && r.nRecomputedChunks == 0)
   }
 
   test("an unaligned window recomputes only the boundary chunks") {
     val r = QuTClustering.query(tree, 100L, 700L)
-    assert(r.timings.reusedChunks == 2, "chunks 1 and 2 are fully covered")
-    assert(r.timings.recomputedChunks == 2, "chunks 0 and 3 are clipped")
+    assert(r.nReusedChunks == 2, "chunks 1 and 2 are fully covered")
+    assert(r.nRecomputedChunks == 2, "chunks 0 and 3 are clipped")
+  }
+
+  test("an unaligned window starts no Spark job") {
+    assert(tree.chunks.size == 4) // built outside the guard
+    assert(jobsDuring(pointsDf.count()) >= 1, "the guard must see a Spark action")
+    assert(jobsDuring(QuTClustering.query(tree, 100L, 700L)) == 0)
   }
 
   test("a window inside a single chunk recomputes exactly that chunk") {
     val r = QuTClustering.query(tree, 250L, 350L)
-    assert(r.timings.reusedChunks == 0 && r.timings.recomputedChunks == 1)
+    assert(r.nReusedChunks == 0 && r.nRecomputedChunks == 1)
   }
 
   test("an empty period beyond the data returns no clusters") {

@@ -88,6 +88,12 @@ class S2TClusteringSpec extends SparkSpec {
     assert(t.totalMs == t.votingMs + t.segmentationMs + t.samplingMs + t.clusteringMs)
   }
 
+  test("a rejected run releases the votes it cached") {
+    points.count() // the input's own cache is not the run's
+    val dup = points.union(points.where("obj_id = 0 AND t = 0"))
+    assertRejectedWithoutLeak("duplicate samples")(S2TClustering.run(dup, S2TClustering.Params()))
+  }
+
   test("clusterSizes counts only non-outlier members") {
     val total = result.clusterSizes.values.sum
     assert(total == result.assignments.count(_.clusterId != Assignment.Outlier))

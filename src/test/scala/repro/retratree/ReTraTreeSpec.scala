@@ -1,13 +1,13 @@
 package repro.retratree
 
-import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
-import repro.core.S2TClustering
-import repro.model.TrajPoint
+import repro.core.{QuTClustering, S2TClustering}
+import repro.model.{Series, TrajPoint}
 import repro.traj.TrajGen
 import repro.voting.Voting
 
-import java.nio.file.Files
+import java.io.File
+import java.nio.file.Paths
 
 class ReTraTreeSpec extends SparkSpec {
 
@@ -17,8 +17,7 @@ class ReTraTreeSpec extends SparkSpec {
 
   private lazy val pointsDf = TrajGen.points(TrajGen.generate(spark, genParams)).cache()
   private lazy val (tree, buildStats) = {
-    val dir = Files.createTempDirectory("retratree-spec").toString
-    ReTraTree.build(pointsDf, ReTraTree.Params(tau = tau), dir)
+    ReTraTree.build(pointsDf, ReTraTree.Params(tau = tau), tempDir("retratree-spec"))
   }
 
   test("build creates one chunk per tau-length period with data") {
@@ -43,22 +42,61 @@ class ReTraTreeSpec extends SparkSpec {
     }
   }
 
-  test("level-4 parquet partitions exist per chunk") {
-    val dirs = new java.io.File(tree.dataDir).listFiles().filter(_.isDirectory)
-      .map(_.getName).filter(_.startsWith("chunk_id=")).sorted
-    assert(dirs.toSeq == Seq("chunk_id=0", "chunk_id=1", "chunk_id=2", "chunk_id=3"))
+  private def level4Files(dir: String): Seq[String] =
+    new File(dir).listFiles().map(_.getName).sorted.toSeq
+
+  test("one level-4 file per chunk") {
+    assert(level4Files(tree.dataDir) == Seq("chunk_0.l4", "chunk_1.l4", "chunk_2.l4", "chunk_3.l4"))
   }
 
   test("oracle: per-chunk point counts match a DuckDB aggregation") {
     import spark.implicits._
-    val sparkSide = spark.read.parquet(tree.dataDir)
-      .groupBy(col("chunk_id").cast("long") as "chunk_id")
-      .agg(count(lit(1)) as "n")
+    val sparkSide = tree.chunks.keys.toSeq
+      .map(c => (c, tree.loadChunk(c).map(_.size.toLong).sum))
+      .toDF("chunk_id", "n")
     val sql =
       s"""SELECT CAST(FLOOR(CAST(t AS DOUBLE) / $tau) AS BIGINT) AS chunk_id,
          |       COUNT(*) AS n
          |FROM pts GROUP BY 1""".stripMargin
     Oracle.assertEquivalent(sparkSide, sql, "pts" -> pointsDf)
+  }
+
+  test("loadChunk gives back the series the build clustered") {
+    tree.chunks.foreach { case (c, cc) =>
+      val again = tree.clusterSeries(c, tree.loadChunk(c))
+      assert(again.map(_.reps.map(_.key).toSeq) == cc.subChunks.map(_.reps.map(_.key).toSeq))
+      assert(again.map(_.assignments.toSeq) == cc.subChunks.map(_.assignments.toSeq))
+    }
+  }
+
+  test("a level-4 file round-trips every value bit for bit") {
+    val odd = Array(-0.0, Double.MinPositiveValue, Double.MaxValue, Double.NegativeInfinity,
+                    math.Pi, 1e-300, -123456.789)
+    val written = Array(
+      Series(-7L, Array(Long.MinValue, -1L, 0L, 3L, 5L, 8L, Long.MaxValue), odd, odd.reverse, odd.map(_ / 3)),
+      Series(Long.MaxValue, Array(42L), Array(0.1), Array(0.2), Array(0.30000000000000004)),
+      Series(0L, Array.empty, Array.empty, Array.empty, Array.empty))
+    val f = Paths.get(tempDir("level4-codec"), "chunk_0.l4")
+    ReTraTree.writeChunk(f, written)
+    val read = ReTraTree.readChunk(f)
+    def bits(s: Series) = (s.objId, s.ts.toSeq,
+      Seq(s.xs, s.ys, s.votes).map(_.map(java.lang.Double.doubleToRawLongBits).toSeq))
+    assert(read.map(bits).toSeq == written.map(bits).toSeq)
+  }
+
+  test("loadChunk starts no Spark job") {
+    assert(jobsDuring(pointsDf.count()) >= 1, "the guard must see a Spark action")
+    assert(jobsDuring(tree.loadChunk(1L)) == 0)
+  }
+
+  test("build creates its directory, and a second build there leaves only its own files") {
+    val dir = Paths.get(tempDir("retratree-twice"), "tree").toString
+    ReTraTree.build(pointsDf, ReTraTree.Params(tau = tau), dir)
+    val (t2, _) = ReTraTree.build(pointsDf.where("t < 400"), ReTraTree.Params(tau = 2 * tau), dir)
+    assert(t2.chunks.keySet == Set(0L))
+    assert(level4Files(dir) == Seq("chunk_0.l4"))
+    assert(t2.loadChunk(1L).isEmpty, "a stale chunk file of the first tree was read")
+    assert(t2.loadChunk(0L).map(_.size).sum == pointsDf.where("t < 400").count())
   }
 
   test("loadChunk returns exactly the chunk's samples with global votes") {
@@ -108,7 +146,7 @@ class ReTraTreeSpec extends SparkSpec {
   }
 
   test("inserting a trajectory near an existing representative archives it as member") {
-    val dir = Files.createTempDirectory("retratree-ins").toString
+    val dir = tempDir("retratree-ins")
     val (t2, _) = ReTraTree.build(pointsDf, ReTraTree.Params(tau = tau), dir)
     val cc = t2.chunks(0L)
     val before = cc.appended.length
@@ -118,7 +156,7 @@ class ReTraTreeSpec extends SparkSpec {
   }
 
   test("inserting a far-away trajectory lands in the outlier partition") {
-    val dir = Files.createTempDirectory("retratree-ins2").toString
+    val dir = tempDir("retratree-ins2")
     val (t2, _) = ReTraTree.build(pointsDf, ReTraTree.Params(tau = tau), dir)
     val cc = t2.chunks(0L)
     val pts = (0 until 20).map(i => TrajPoint(901L, i * 10L, 90000.0 + i, 90000.0)).toArray
@@ -128,7 +166,7 @@ class ReTraTreeSpec extends SparkSpec {
   }
 
   test("an insert spanning several chunks is clipped per chunk") {
-    val dir = Files.createTempDirectory("retratree-ins3").toString
+    val dir = tempDir("retratree-ins3")
     val (t2, _) = ReTraTree.build(pointsDf, ReTraTree.Params(tau = tau), dir)
     val pts = (0 until 40).map(i => TrajPoint(902L, i * 10L, 70000.0, 70000.0)).toArray // spans chunks 0,1
     t2.insertTrajectory(pts)
@@ -137,7 +175,7 @@ class ReTraTreeSpec extends SparkSpec {
   }
 
   test("the outlier partition triggers S2T when it reaches the threshold") {
-    val dir = Files.createTempDirectory("retratree-ins4").toString
+    val dir = tempDir("retratree-ins4")
     val (t2, _) = ReTraTree.build(pointsDf,
       ReTraTree.Params(tau = tau, reclusterThreshold = 5), dir)
     val cc = t2.chunks(0L)
@@ -154,7 +192,7 @@ class ReTraTreeSpec extends SparkSpec {
   }
 
   test("after re-clustering, a further lane-mate insert is archived, not buffered") {
-    val dir = Files.createTempDirectory("retratree-ins5").toString
+    val dir = tempDir("retratree-ins5")
     val (t2, _) = ReTraTree.build(pointsDf,
       ReTraTree.Params(tau = tau, reclusterThreshold = 5), dir)
     val cc = t2.chunks(0L)
@@ -203,12 +241,24 @@ class ReTraTreeSpec extends SparkSpec {
   }
 
   test("an insert at t < 0 lands in the floor-division chunk, as in build and QuT") {
-    val dir = Files.createTempDirectory("retratree-ins6").toString
+    val dir = tempDir("retratree-ins6")
     val (t2, _) = ReTraTree.build(pointsDf, ReTraTree.Params(tau = tau), dir)
     val pts = (0 until 20).map(i => TrajPoint(943L, -100L + i * 10L, 60000.0, 60000.0)).toArray
     t2.insertTrajectory(pts)
     assert(t2.chunks(-1L).pendingOutliers.map(_.ts.toSeq) == Seq((-100L to -10L by 10L)))
     assert(t2.chunks(0L).pendingOutliers.map(_.ts.toSeq) == Seq((0L to 90L by 10L)))
+    assert(t2.loadChunk(-1L).isEmpty, "a chunk that only inserts created has no level-4 file")
+    assert(QuTClustering.query(t2, -50L, 50L).nRecomputedChunks == 2)
+  }
+
+  test("Params reject sub-chunk counts and recluster thresholds below 1") {
+    for ((params, field) <- Seq(
+           (() => ReTraTree.Params(tau = tau, subChunksPerChunk = 0), "subChunksPerChunk"),
+           (() => ReTraTree.Params(tau = tau, subChunksPerChunk = -2), "subChunksPerChunk"),
+           (() => ReTraTree.Params(tau = tau, reclusterThreshold = 0), "reclusterThreshold"))) {
+      val e = intercept[IllegalArgumentException](params())
+      assert(e.getMessage.contains(field), e.getMessage)
+    }
   }
 
   test("build stats expose the one-time preprocessing costs") {
