@@ -4,7 +4,9 @@ import org.apache.spark.sql.SparkSession
 import repro.exp.Experiments
 
 /** spark-submit entrypoints, one per reconstructed table (DESIGN.md E1–E4).
-  * Each prints the table that EXPERIMENTS.md records.
+  * Each prints the table that EXPERIMENTS.md records. With no arguments a
+  * job runs its harness function's own defaults; arguments override the
+  * object counts.
   */
 object JobUtil {
   def session(name: String): SparkSession =
@@ -20,8 +22,9 @@ object JobUtil {
 object E1S2TScaling {
   def main(args: Array[String]): Unit = {
     val spark = JobUtil.session("E1S2TScaling")
-    val sizes = if (args.nonEmpty) args.map(_.toInt).toSeq else Seq(100, 200, 400, 800)
-    println(Experiments.formatE1(Experiments.runE1(spark, sizes)))
+    val rows =
+      if (args.nonEmpty) Experiments.runE1(spark, args.map(_.toInt).toSeq) else Experiments.runE1(spark)
+    println(Experiments.formatE1(rows))
     spark.stop()
   }
 }
@@ -30,18 +33,20 @@ object E1S2TScaling {
 object E2QuT {
   def main(args: Array[String]): Unit = {
     val spark = JobUtil.session("E2QuT")
-    val nObjects = if (args.nonEmpty) args(0).toInt else 200
-    println(Experiments.formatE2(Experiments.runE2(spark, nObjects)))
+    val result =
+      if (args.nonEmpty) Experiments.runE2(spark, args(0).toInt) else Experiments.runE2(spark)
+    println(Experiments.formatE2(result))
     spark.stop()
   }
 }
 
-/** E3 — quality vs. TRACLUS and T-OPTICS on planted groups. */
+/** E3 — quality vs. TRACLUS, T-OPTICS and Convoys on planted groups. */
 object E3Quality {
   def main(args: Array[String]): Unit = {
     val spark = JobUtil.session("E3Quality")
-    val nObjects = if (args.nonEmpty) args(0).toInt else 150
-    println(Experiments.formatE3(Experiments.runE3(spark, nObjects)))
+    val rows =
+      if (args.nonEmpty) Experiments.runE3(spark, args(0).toInt) else Experiments.runE3(spark)
+    println(Experiments.formatE3(rows))
     spark.stop()
   }
 }
@@ -50,8 +55,9 @@ object E3Quality {
 object E4InDbms {
   def main(args: Array[String]): Unit = {
     val spark = JobUtil.session("E4InDbms")
-    val sizes = if (args.nonEmpty) args.map(_.toInt).toSeq else Seq(100, 200, 400)
-    println(Experiments.formatE4(Experiments.runE4(spark, sizes)))
+    val rows =
+      if (args.nonEmpty) Experiments.runE4(spark, args.map(_.toInt).toSeq) else Experiments.runE4(spark)
+    println(Experiments.formatE4(rows))
     spark.stop()
   }
 }

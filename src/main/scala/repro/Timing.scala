@@ -1,6 +1,6 @@
 package repro
 
-/** The one wall-clock timer behind the phase timings of S2T, QuT, the
+/** The one wall-clock timer behind the phase timings of S2T, the
   * range-query baseline and the ReTraTree build, and the experiment tables.
   */
 object Timing {

@@ -14,8 +14,9 @@ import scala.collection.mutable
   *    — crucially reusing the stored votes (clipping cannot change a vote),
   *    so only segmentation + SaCO are repeated, never the voting pass;
   *  - clusters of consecutive chunks whose representatives meet at the shared
-  *    boundary (within `mergeEps`, within `mergeGap` of the border) are
-  *    merged into one time-spanning cluster.
+  *    boundary (within the clustering ε of each other, within the
+  *    segmentation max-gap of the border) are merged into one time-spanning
+  *    cluster.
   */
 object QuTClustering {
 
@@ -37,15 +38,10 @@ object QuTClustering {
     def nOutliers: Int = outliers.length
   }
 
-  /** Answer QUT over the tree for W = [w0, w1). `mergeEps` defaults to the
-    * clustering ε; `mergeGap` to the segmentation max-gap.
-    */
-  def query(tree: ReTraTree, w0: Long, w1: Long,
-            mergeEps: Double = Double.NaN, mergeGap: Long = -1L): Result = {
+  /** Answer QUT over the tree for W = [w0, w1). */
+  def query(tree: ReTraTree, w0: Long, w1: Long): Result = {
     require(w0 < w1, s"empty window [$w0, $w1)")
     val p = tree.params.s2t
-    val eps = if (mergeEps.isNaN) p.eps else mergeEps
-    val gap = if (mergeGap < 0) p.maxGap else mergeGap
 
     val c0 = math.floorDiv(w0, tree.params.tau)
     val c1 = math.floorDiv(w1 - 1, tree.params.tau)
@@ -97,13 +93,13 @@ object QuTClustering {
         val border = tree.chunkEnd(chunkId)
         for {
           scA <- scsA; (rA, iA) <- scA.reps.zipWithIndex
-          if border - rA.tEnd <= gap
+          if border - rA.tEnd <= p.maxGap
           scB <- scsB; (rB, iB) <- scB.reps.zipWithIndex
-          if rB.tStart - border <= gap
+          if rB.tStart - border <= p.maxGap
         } {
           val dx = rA.xs.last - rB.xs.head
           val dy = rA.ys.last - rB.ys.head
-          if (math.sqrt(dx * dx + dy * dy) <= eps)
+          if (math.sqrt(dx * dx + dy * dy) <= p.eps)
             union((chunkId, scA.subChunkId, iA), (chunkId + 1, scB.subChunkId, iB))
         }
       }

@@ -12,7 +12,8 @@ import repro.voting.{Segmentation, Voting}
   * paper's first core module.
   *
   * Two phases, four steps:
-  *  1. NaTS:  Voting  →  Segmentation   (distributed: Spark join + per-group)
+  *  1. NaTS:  Voting  →  Segmentation   (distributed: one shuffle by t for
+  *            the vote kernel, one by object for segmentation)
   *  2. SaCO:  Sampling  →  GreedyClustering + outlier detection
   *            (sampling central over sub-trajectory descriptors, as in
   *             Hermes; assignment distributed)

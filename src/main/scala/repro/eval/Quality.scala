@@ -12,9 +12,10 @@ object Quality {
   /** Adjusted Rand Index over (truth, predicted) pairs. 1 = identical
     * partitions, ~0 = random agreement. Noise labels participate as their
     * own class/cluster values (so scattering noise across clusters hurts).
+    * Fewer than two points form no pair, so any two partitions agree: 1.
     */
   def ari(pairs: Seq[(Int, Int)]): Double = {
-    if (pairs.isEmpty) return 1.0
+    if (pairs.lengthCompare(2) < 0) return 1.0
     val n = pairs.size.toDouble
     val cont = pairs.groupBy(identity).view.mapValues(_.size.toDouble).toMap
     val rowSums = pairs.groupBy(_._1).view.mapValues(_.size.toDouble).toMap

@@ -20,20 +20,10 @@ final case class Box3D(minX: Double, maxX: Double,
     minY <= o.minY && o.maxY <= maxY &&
     minT <= o.minT && o.maxT <= maxT
 
-  /** Volume with time scaled to seconds; degenerate extents count as epsilon
-    * so enlargement comparisons still order boxes sensibly.
-    */
-  def volume: Double = {
-    val eps = 1e-9
-    math.max(eps, maxX - minX) * math.max(eps, maxY - minY) * math.max(eps, (maxT - minT).toDouble)
-  }
-
   def union(o: Box3D): Box3D = Box3D(
     math.min(minX, o.minX), math.max(maxX, o.maxX),
     math.min(minY, o.minY), math.max(maxY, o.maxY),
     math.min(minT, o.minT), math.max(maxT, o.maxT))
-
-  def enlargement(o: Box3D): Double = union(o).volume - volume
 }
 
 object Box3D {
@@ -42,38 +32,21 @@ object Box3D {
     Box3D(Double.MinValue, Double.MaxValue, Double.MinValue, Double.MaxValue, t0, t1)
 }
 
-/** From-scratch 3D R-tree over (x, y, t) boxes with integer payloads.
+/** Static 3D R-tree over (x, y, t) boxes with integer payloads.
   *
   * This is the `pg3D-Rtree` substrate of the paper (there built on
-  * PostgreSQL's GiST, here a standalone serializable structure): STR
-  * bulk-load for the initial build of a partition, quadratic-split inserts
-  * for incremental maintenance, and box-intersection range queries used to
-  * retrieve the sub-trajectories that intersect a temporal period W.
-  *
-  * @param maxEntries node capacity (GiST default page fanout stand-in)
+  * PostgreSQL's GiST): the index built fresh on a range query's result and
+  * probed with box-intersection queries. It is immutable, and
+  * [[RTree3D.bulkLoad]] (a Sort-Tile-Recursive pack) is the only way to
+  * build one.
   */
-final class RTree3D(val maxEntries: Int = 16) extends Serializable {
-  require(maxEntries >= 4, "need capacity >= 4 for quadratic split")
-  private val minEntries: Int = math.max(2, maxEntries / 2)
+final class RTree3D private (root: Option[RTree3D.Node], val size: Int) {
+  import RTree3D._
 
-  private sealed trait Node extends Serializable {
-    var box: Box3D
-  }
-  private final class Leaf(var box: Box3D,
-                           val entries: ArrayBuffer[(Box3D, Int)]) extends Node
-  private final class Inner(var box: Box3D,
-                            val children: ArrayBuffer[Node]) extends Node
-
-  private var root: Option[Node] = None
-  private var count = 0
-
-  def size: Int = count
-  def isEmpty: Boolean = count == 0
+  def isEmpty: Boolean = size == 0
 
   /** Bounding box of everything in the tree (None when empty). */
   def bounds: Option[Box3D] = root.map(_.box)
-
-  // ---------------------------------------------------------------- queries
 
   /** Payloads of all entries whose box intersects `q`. */
   def query(q: Box3D): IndexedSeq[Int] = {
@@ -86,147 +59,71 @@ final class RTree3D(val maxEntries: Int = 16) extends Serializable {
     out.toIndexedSeq
   }
 
-  /** Entries (box and payload) intersecting a temporal period [t0, t1]. */
+  /** Payloads of all entries alive in the temporal period [t0, t1]. */
   def queryTemporal(t0: Long, t1: Long): IndexedSeq[Int] = query(Box3D.temporal(t0, t1))
-
-  // ---------------------------------------------------------------- insert
-
-  def insert(b: Box3D, payload: Int): Unit = {
-    count += 1
-    root match {
-      case None =>
-        root = Some(new Leaf(b, ArrayBuffer((b, payload))))
-      case Some(r) =>
-        insertRec(r, b, payload) match {
-          case Some(split) =>
-            val newRoot = new Inner(r.box.union(split.box), ArrayBuffer(r, split))
-            root = Some(newRoot)
-          case None => ()
-        }
-    }
-  }
-
-  /** Returns Some(newSibling) when the visited node split. */
-  private def insertRec(n: Node, b: Box3D, payload: Int): Option[Node] = n match {
-    case l: Leaf =>
-      l.entries += ((b, payload))
-      l.box = l.box.union(b)
-      if (l.entries.length > maxEntries) Some(splitLeaf(l)) else None
-    case i: Inner =>
-      // classic R-tree ChooseSubtree: least enlargement, ties by volume
-      val child = i.children.minBy(c => (c.box.enlargement(b), c.box.volume))
-      val res = insertRec(child, b, payload)
-      i.box = i.box.union(b)
-      res match {
-        case Some(sib) =>
-          i.children += sib
-          if (i.children.length > maxEntries) Some(splitInner(i)) else None
-        case None => None
-      }
-  }
-
-  /** Guttman quadratic split on generic items. Returns (group1, group2). */
-  private def quadraticSplit[A](items: ArrayBuffer[A], boxOf: A => Box3D)
-      : (ArrayBuffer[A], ArrayBuffer[A]) = {
-    // seeds: the pair wasting the most volume if grouped
-    var s1 = 0; var s2 = 1; var worst = Double.MinValue
-    var i = 0
-    while (i < items.length) {
-      var j = i + 1
-      while (j < items.length) {
-        val waste = boxOf(items(i)).union(boxOf(items(j))).volume -
-          boxOf(items(i)).volume - boxOf(items(j)).volume
-        if (waste > worst) { worst = waste; s1 = i; s2 = j }
-        j += 1
-      }
-      i += 1
-    }
-    val g1 = ArrayBuffer(items(s1)); var b1 = boxOf(items(s1))
-    val g2 = ArrayBuffer(items(s2)); var b2 = boxOf(items(s2))
-    val rest = ArrayBuffer.empty[A]
-    items.indices.foreach(k => if (k != s1 && k != s2) rest += items(k))
-    while (rest.nonEmpty) {
-      val remaining = rest.length
-      if (g1.length + remaining <= minEntries) { g1 ++= rest; rest.foreach(a => b1 = b1.union(boxOf(a))); rest.clear() }
-      else if (g2.length + remaining <= minEntries) { g2 ++= rest; rest.foreach(a => b2 = b2.union(boxOf(a))); rest.clear() }
-      else {
-        // pick the item with max preference difference
-        var best = 0; var bestDiff = Double.MinValue
-        rest.indices.foreach { k =>
-          val d1 = b1.enlargement(boxOf(rest(k)))
-          val d2 = b2.enlargement(boxOf(rest(k)))
-          val diff = math.abs(d1 - d2)
-          if (diff > bestDiff) { bestDiff = diff; best = k }
-        }
-        val item = rest.remove(best)
-        val d1 = b1.enlargement(boxOf(item)); val d2 = b2.enlargement(boxOf(item))
-        if (d1 < d2 || (d1 == d2 && g1.length <= g2.length)) { g1 += item; b1 = b1.union(boxOf(item)) }
-        else { g2 += item; b2 = b2.union(boxOf(item)) }
-      }
-    }
-    (g1, g2)
-  }
-
-  private def boxOfAll[A](items: ArrayBuffer[A], boxOf: A => Box3D): Box3D =
-    items.map(boxOf).reduce(_.union(_))
-
-  private def splitLeaf(l: Leaf): Leaf = {
-    val (g1, g2) = quadraticSplit[(Box3D, Int)](l.entries.clone(), _._1)
-    l.entries.clear(); l.entries ++= g1; l.box = boxOfAll(l.entries, (e: (Box3D, Int)) => e._1)
-    new Leaf(boxOfAll(g2, (e: (Box3D, Int)) => e._1), g2)
-  }
-
-  private def splitInner(i: Inner): Inner = {
-    val (g1, g2) = quadraticSplit[Node](i.children.clone(), (n: Node) => n.box)
-    i.children.clear(); i.children ++= g1; i.box = boxOfAll(i.children, (n: Node) => n.box)
-    new Inner(boxOfAll(g2, (n: Node) => n.box), g2)
-  }
 
   /** Tree depth (0 when empty) — exposed for structural tests. */
   def depth: Int = {
     def rec(n: Node): Int = n match {
       case _: Leaf  => 1
-      case i: Inner => 1 + i.children.map(rec).max
+      case i: Inner => 1 + rec(i.children.head)
     }
     root.map(rec).getOrElse(0)
   }
 
-  /** Structural invariant check used by tests: boxes cover children, node
-    * occupancy within [min, max] (root exempt).
+  /** Structural invariant check used by tests: every node holds 1 to
+    * [[RTree3D.Fanout]] entries and its box covers them, and all leaves sit
+    * at one depth.
     */
   def invariantsHold: Boolean = {
-    def rec(n: Node, isRoot: Boolean): Boolean = n match {
+    val leafLevel = depth
+    def rec(n: Node, level: Int): Boolean = n match {
       case l: Leaf =>
-        val occOk = isRoot || (l.entries.length >= minEntries && l.entries.length <= maxEntries)
-        occOk && l.entries.forall { case (b, _) => l.box.contains(b) }
+        level == leafLevel && l.entries.nonEmpty && l.entries.length <= Fanout &&
+          l.entries.forall { case (b, _) => l.box.contains(b) }
       case i: Inner =>
-        val occOk = isRoot || (i.children.length >= minEntries && i.children.length <= maxEntries)
-        occOk && i.children.forall(c => i.box.contains(c.box)) &&
-          i.children.forall(rec(_, isRoot = false))
+        i.children.nonEmpty && i.children.length <= Fanout &&
+          i.children.forall(c => i.box.contains(c.box) && rec(c, level + 1))
     }
-    root.forall(rec(_, isRoot = true))
+    root.forall(rec(_, 1))
   }
 }
 
 object RTree3D {
 
-  /** Sort-Tile-Recursive bulk load — the fast path used when a ReTraTree
-    * partition is (re)built from scratch.
+  /** Node capacity (GiST default page fanout stand-in). */
+  val Fanout = 16
+
+  private sealed trait Node { def box: Box3D }
+  private final class Leaf(val box: Box3D, val entries: IndexedSeq[(Box3D, Int)]) extends Node
+  private final class Inner(val box: Box3D, val children: IndexedSeq[Node]) extends Node
+
+  /** Sort-Tile-Recursive pack (Leutenegger et al., ICDE 1997): tile the
+    * entries into leaves, then each level's nodes into parents, until one
+    * root is left.
     */
-  def bulkLoad(items: Seq[(Box3D, Int)], maxEntries: Int = 16): RTree3D = {
-    val tree = new RTree3D(maxEntries)
-    if (items.isEmpty) return tree
-    // STR: sort by center-x into vertical slabs, each slab by center-y,
-    // then fill the tree with plain inserts in that order (clustered order
-    // makes the quadratic-split inserts produce a well-packed tree while
-    // keeping a single insertion code path to test).
-    val slabCount = math.max(1, math.ceil(math.sqrt(items.length.toDouble / maxEntries)).toInt)
-    val sortedX = items.sortBy { case (b, _) => (b.minX + b.maxX) / 2 }
-    val perSlab = math.max(1, math.ceil(sortedX.length.toDouble / slabCount).toInt)
-    sortedX.grouped(perSlab).foreach { slab =>
-      slab.sortBy { case (b, _) => ((b.minY + b.maxY) / 2, b.minT) }
-        .foreach { case (b, p) => tree.insert(b, p) }
-    }
-    tree
+  def bulkLoad(items: Seq[(Box3D, Int)]): RTree3D = {
+    if (items.isEmpty) return new RTree3D(None, 0)
+    def cover(bs: Iterable[Box3D]): Box3D = bs.reduce(_.union(_))
+    var level: IndexedSeq[Node] =
+      tile(items.toIndexedSeq)(_._1).map(g => new Leaf(cover(g.map(_._1)), g))
+    while (level.length > 1)
+      level = tile(level)(_.box).map(g => new Inner(cover(g.map(_.box)), g))
+    new RTree3D(Some(level.head), items.size)
+  }
+
+  /** Groups of at most [[Fanout]] items: S slabs by x-centre, each cut into
+    * S runs by y-centre, each cut into groups by t-centre, where S is the
+    * cube root of the number of groups. (A box's lower plus upper bound
+    * orders boxes as its centre does.)
+    */
+  private def tile[A](items: IndexedSeq[A])(boxOf: A => Box3D): IndexedSeq[IndexedSeq[A]] = {
+    val s = math.ceil(math.cbrt(math.ceil(items.length.toDouble / Fanout))).toInt
+    def by(centre: Box3D => Double)(as: IndexedSeq[A]): IndexedSeq[A] = as.sortBy(a => centre(boxOf(a)))
+    (for {
+      slab  <- by(b => b.minX + b.maxX)(items).grouped(Fanout * s * s)
+      run   <- by(b => b.minY + b.maxY)(slab).grouped(Fanout * s)
+      group <- by(b => b.minT.toDouble + b.maxT)(run).grouped(Fanout)
+    } yield group).toIndexedSeq
   }
 }

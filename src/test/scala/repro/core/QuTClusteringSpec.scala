@@ -98,15 +98,16 @@ class QuTClusteringSpec extends SparkSpec {
   }
 
   test("a no-merge configuration yields per-chunk clusters") {
-    val merged = QuTClustering.query(tree, 0L, 800L)
-    val unmerged = QuTClustering.query(tree, 0L, 800L, mergeEps = 1e-9, mergeGap = 0L)
-    assert(unmerged.nClusters >= merged.nClusters,
-      "disabling the merge cannot reduce the cluster count")
-    assert(unmerged.clusters.forall(_.reps.length == 1))
+    // Each single-chunk aligned window is one chunk's stored clustering,
+    // where no merge runs; over the full horizon the merge only joins them.
+    val perChunk = (0L until 4L).map(c => QuTClustering.query(tree, c * tau, (c + 1) * tau).nClusters).sum
+    val merged = QuTClustering.query(tree, 0L, 4 * tau)
+    assert(merged.clusters.map(_.reps.length).sum == perChunk)
+    assert(merged.nClusters <= perChunk)
   }
 
   test("QuT cluster count on aligned windows matches the stored level-3 content") {
-    val r = QuTClustering.query(tree, 200L, 400L, mergeEps = 1e-9, mergeGap = 0L)
+    val r = QuTClustering.query(tree, 200L, 400L)
     assert(r.nClusters == tree.chunks(1L).nClusters)
   }
 }

@@ -25,6 +25,11 @@ class QualitySpec extends AnyFunSuite {
     assert(Quality.ari(Seq.empty) == 1.0)
   }
 
+  test("ARI of a single point is 1 by convention") {
+    assert(Quality.ari(Seq((0, 0))) == 1.0)
+    assert(Quality.ari(Seq((3, -1))) == 1.0)
+  }
+
   test("ARI penalizes splitting a truth class across clusters") {
     val perfect = Seq.fill(10)((0, 0)) ++ Seq.fill(10)((1, 1))
     val split = Seq.fill(5)((0, 0)) ++ Seq.fill(5)((0, 2)) ++ Seq.fill(10)((1, 1))

@@ -63,14 +63,6 @@ class RTree3DSpec extends AnyFunSuite {
     }
   }
 
-  test("enlargement is non-negative (randomized)") {
-    val rnd = new scala.util.Random(5)
-    for (_ <- 0 until 500) {
-      val a = randomBox(rnd); val b = randomBox(rnd)
-      assert(a.enlargement(b) >= -1e-6)
-    }
-  }
-
   test("malformed boxes are rejected") {
     intercept[IllegalArgumentException] { Box3D(1, 0, 0, 1, 0, 1) }
     intercept[IllegalArgumentException] { Box3D(0, 1, 0, 1, 5, 1) }
@@ -82,70 +74,46 @@ class RTree3DSpec extends AnyFunSuite {
     assert(!w.intersects(box(0, 0, 100)))
   }
 
-  test("volume of a degenerate box is tiny but positive") {
-    assert(Box3D(1, 1, 1, 1, 5, 5).volume > 0)
-  }
-
   // ----------------------------------------------------------------- RTree3D
 
+  /** Payloads the tree returns for `q`, sorted, against a brute-force scan:
+    * compared as multisets, so a lost or a repeated entry both fail.
+    */
+  private def assertMatchesBruteForce(t: RTree3D, items: Seq[(Box3D, Int)], q: Box3D,
+                                      clue: String): Unit = {
+    val expected = items.collect { case (b, i) if b.intersects(q) => i }.sorted
+    assert(t.query(q).sorted == expected, clue)
+  }
+
   test("empty tree answers empty and reports size 0") {
-    val t = new RTree3D()
+    val t = RTree3D.bulkLoad(Seq.empty)
     assert(t.isEmpty && t.size == 0 && t.query(box(0, 0, 0)).isEmpty && t.depth == 0)
-  }
-
-  test("single insert is retrievable") {
-    val t = new RTree3D()
-    t.insert(box(5, 5, 50), 42)
-    assert(t.query(box(5, 5, 50)) == IndexedSeq(42))
-    assert(t.size == 1)
-  }
-
-  test("capacity below 4 is rejected") {
-    intercept[IllegalArgumentException] { new RTree3D(3) }
-  }
-
-  test("query results match brute force on random data (inserts)") {
-    for (seed <- 0 until 10) {
-      val boxes = randomBoxes(60, seed)
-      val t = new RTree3D(maxEntries = 8)
-      boxes.zipWithIndex.foreach { case (b, i) => t.insert(b, i) }
-      val rnd = new scala.util.Random(seed + 100)
-      for (_ <- 0 until 20) {
-        val q = randomBox(rnd)
-        val expected = boxes.zipWithIndex.collect { case (b, i) if b.intersects(q) => i }.toSet
-        assert(t.query(q).toSet == expected, s"seed=$seed q=$q")
-      }
-    }
+    assert(t.bounds.isEmpty && t.invariantsHold)
   }
 
   test("query results match brute force on random data (bulk load)") {
     for (seed <- 10 until 20) {
-      val boxes = randomBoxes(80, seed)
-      val t = RTree3D.bulkLoad(boxes.zipWithIndex, maxEntries = 8)
+      val items = randomBoxes(600 + seed * 37, seed).zipWithIndex
+      val t = RTree3D.bulkLoad(items)
+      assert(t.size == items.length && t.depth >= 3, s"seed=$seed depth=${t.depth}")
       val rnd = new scala.util.Random(seed + 200)
       for (_ <- 0 until 20) {
         val q = randomBox(rnd)
-        val expected = boxes.zipWithIndex.collect { case (b, i) if b.intersects(q) => i }.toSet
-        assert(t.query(q).toSet == expected, s"seed=$seed q=$q")
+        assertMatchesBruteForce(t, items, q, s"seed=$seed q=$q")
       }
+      assertMatchesBruteForce(t, items, Box3D.temporal(Long.MinValue, Long.MaxValue), s"seed=$seed all")
     }
-  }
-
-  test("structural invariants hold after many inserts") {
-    val t = new RTree3D(maxEntries = 6)
-    val rnd = new scala.util.Random(1)
-    (0 until 500).foreach { i =>
-      t.insert(box(rnd.nextDouble() * 200, rnd.nextDouble() * 200, rnd.nextInt(1000)), i)
-    }
-    assert(t.size == 500)
-    assert(t.invariantsHold)
-    assert(t.depth >= 3, "500 entries at fanout 6 must have split into multiple levels")
   }
 
   test("structural invariants hold after bulk load") {
-    val boxes = (0 until 300).map(i => (box(i % 20 * 10.0, i / 20 * 10.0, i * 3L), i))
-    val t = RTree3D.bulkLoad(boxes)
-    assert(t.invariantsHold && t.size == 300)
+    for (n <- Seq(1, RTree3D.Fanout, RTree3D.Fanout + 1, 300, 5000)) {
+      val boxes = (0 until n).map(i => (box(i % 20 * 10.0, i / 20 * 10.0, i * 3L), i))
+      val t = RTree3D.bulkLoad(boxes)
+      assert(t.invariantsHold && t.size == n, s"n=$n")
+      if (n <= RTree3D.Fanout) assert(t.depth == 1, s"n=$n")
+      if (n == RTree3D.Fanout + 1) assert(t.depth == 2)
+      if (n == 5000) assert(t.depth >= 3, s"depth=${t.depth}")
+    }
   }
 
   test("bounds cover every inserted box") {
@@ -156,16 +124,14 @@ class RTree3DSpec extends AnyFunSuite {
   }
 
   test("temporal query returns exactly the entries alive in the window") {
-    val t = new RTree3D()
-    (0 until 100).foreach(i => t.insert(box(i, i, i * 10L, d = 9L), i))
+    val t = RTree3D.bulkLoad((0 until 100).map(i => (box(i, i, i * 10L, d = 9L), i)))
     val got = t.queryTemporal(200, 299).sorted
     assert(got == (20 to 29).toVector)
   }
 
   test("duplicate boxes with distinct payloads are all returned") {
-    val t = new RTree3D()
-    (0 until 10).foreach(i => t.insert(box(1, 1, 1), i))
-    assert(t.query(box(1, 1, 1)).sorted == (0 until 10).toVector)
+    val t = RTree3D.bulkLoad((0 until 40).map(i => (box(1, 1, 1), i)))
+    assert(t.query(box(1, 1, 1)).sorted == (0 until 40).toVector)
   }
 
   test("bulk load of an empty collection yields an empty tree") {
@@ -173,39 +139,26 @@ class RTree3DSpec extends AnyFunSuite {
   }
 
   test("point-like (degenerate) boxes are supported") {
-    val t = new RTree3D()
-    t.insert(Box3D(5, 5, 5, 5, 100, 100), 1)
+    val t = RTree3D.bulkLoad(Seq((Box3D(5, 5, 5, 5, 100, 100), 1)))
     assert(t.query(Box3D(0, 10, 0, 10, 90, 110)) == IndexedSeq(1))
     assert(t.query(Box3D(0, 10, 0, 10, 101, 110)).isEmpty)
   }
 
   test("queries on a clustered dataset stay correct after mixed workload") {
-    val t = new RTree3D(maxEntries = 10)
-    val all = scala.collection.mutable.ArrayBuffer.empty[(Box3D, Int)]
     val rnd = new scala.util.Random(9)
-    (0 until 400).foreach { i =>
+    val all = (0 until 2000).map { i =>
       val cx = (i % 4) * 500.0
-      val b = box(cx + rnd.nextDouble() * 50, cx + rnd.nextDouble() * 50, rnd.nextInt(5000))
-      all += ((b, i)); t.insert(b, i)
+      (box(cx + rnd.nextDouble() * 50, cx + rnd.nextDouble() * 50, rnd.nextInt(5000)), i)
     }
-    val q = Box3D(450, 1100, 400, 1200, 0, 5100)
-    val expected = all.collect { case (b, i) if b.intersects(q) => i }.toSet
-    assert(t.query(q).toSet == expected)
-    assert(t.invariantsHold)
-  }
-
-  test("bulk-loaded tree serializes and deserializes intact") {
-    val boxes = randomBoxes(100, 77)
-    val t = RTree3D.bulkLoad(boxes.zipWithIndex)
-    val bytes = {
-      val bos = new java.io.ByteArrayOutputStream()
-      val oos = new java.io.ObjectOutputStream(bos)
-      oos.writeObject(t); oos.close(); bos.toByteArray
+    val t = RTree3D.bulkLoad(all)
+    assert(t.invariantsHold && t.depth >= 3)
+    assertMatchesBruteForce(t, all, Box3D(450, 1100, 400, 1200, 0, 5100), "cross-cluster window")
+    assertMatchesBruteForce(t, all, Box3D.temporal(0, 5100), "all of space and time")
+    val qr = new scala.util.Random(10)
+    for (_ <- 0 until 50) {
+      val x = qr.nextDouble() * 1600; val y = qr.nextDouble() * 1600; val t0 = qr.nextInt(5000).toLong
+      val q = Box3D(x, x + qr.nextDouble() * 200, y, y + qr.nextDouble() * 200, t0, t0 + qr.nextInt(1000))
+      assertMatchesBruteForce(t, all, q, s"q=$q")
     }
-    val t2 = new java.io.ObjectInputStream(new java.io.ByteArrayInputStream(bytes))
-      .readObject().asInstanceOf[RTree3D]
-    val q = Box3D(-50, 50, -50, 50, 0, 500)
-    assert(t2.query(q).toSet == t.query(q).toSet)
-    assert(t2.size == t.size)
   }
 }
