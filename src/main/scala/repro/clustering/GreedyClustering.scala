@@ -27,13 +27,14 @@ object GreedyClustering {
     else Assignment(sub.objId, sub.subId, Assignment.Outlier, Double.PositiveInfinity)
   }
 
-  /** Driver-side assignment, used per ReTraTree partition. */
+  /** Driver-side assignment: the path of S2T and of every ReTraTree chunk. */
   def assignLocal(subs: Array[SubTraj], reps: Array[SubTraj], eps: Double,
                   minOverlapFrac: Double): Array[Assignment] =
     subs.map(assignOne(_, reps, eps, minOverlapFrac))
 
   /** Distributed assignment: the (small) representative set ships in the task
-    * closure; each partition assigns its sub-trajectories independently.
+    * closure; each partition assigns its sub-trajectories independently. No
+    * program path calls it; the benchmark's traced S2T run composes it.
     */
   def assign(subs: Dataset[SubTraj], reps: Array[SubTraj], eps: Double,
              minOverlapFrac: Double): Dataset[Assignment] = {

@@ -1,7 +1,6 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.storage.StorageLevel
 import repro.Timing.timed
 import repro.clustering.GreedyClustering
 import repro.model.{Assignment, SubTraj}
@@ -12,11 +11,12 @@ import repro.voting.{Segmentation, Voting}
   * paper's first core module.
   *
   * Two phases, four steps:
-  *  1. NaTS:  Voting  →  Segmentation   (distributed: one shuffle by t for
-  *            the vote kernel, one by object for segmentation)
+  *  1. NaTS:  Voting  →  Segmentation
   *  2. SaCO:  Sampling  →  GreedyClustering + outlier detection
-  *            (sampling central over sub-trajectory descriptors, as in
-  *             Hermes; assignment distributed)
+  *
+  * Only voting, the data-heavy step, runs on Spark: one job votes, then
+  * collects one voted series per object ([[Voting.votedSeries]]). The other
+  * steps run on the driver, as SaCO does in Hermes, like each ReTraTree chunk.
   */
 object S2TClustering {
 
@@ -33,11 +33,21 @@ object S2TClustering {
       maxReps: Int = 64,
       minAvgVote: Double = 1.0
   ) {
+    require(sigma > 0, s"sigma must be positive, got $sigma")
+    require(lambda >= 0, s"lambda must be non-negative, got $lambda")
+    require(minLen >= 1, s"minLen must be at least 1, got $minLen")
+    require(maxGap >= 0, s"maxGap must be non-negative, got $maxGap")
+    require(eps.isFinite && eps >= 0, s"eps must be finite and non-negative, got $eps")
+    require(minOverlapFrac >= 0 && minOverlapFrac <= 1, s"minOverlapFrac must lie in [0, 1], got $minOverlapFrac")
+    require(maxReps >= 1, s"maxReps must be at least 1, got $maxReps")
+
     def segmentation: Segmentation.Params = Segmentation.Params(lambda, minLen, maxGap)
     def sampling: Sampling.Params = Sampling.Params(eps, minOverlapFrac, maxReps, minAvgVote)
   }
 
-  /** Wall-clock per phase, for the E1 runtime-breakdown table. */
+  /** Wall-clock per phase, for the E1 runtime-breakdown table: voting is the
+    * one Spark job, the other phases are driver time.
+    */
   final case class Timings(votingMs: Long, segmentationMs: Long, samplingMs: Long,
                            clusteringMs: Long) {
     def totalMs: Long = votingMs + segmentationMs + samplingMs + clusteringMs
@@ -60,24 +70,17 @@ object S2TClustering {
     * on a common time grid.
     */
   def run(points: DataFrame, p: Params): Result = {
-    val voted = Voting.votes(points, p.sigma).persist(StorageLevel.MEMORY_AND_DISK)
-    val ((subs, tSeg), tVote) = try {
-      val (_, tVote) = timed(voted.count()) // force, so the phase timing is honest
-      (timed(Segmentation.segmentTrajectories(voted, p.segmentation).collect()), tVote)
-    } finally voted.unpersist()
-    val (reps, tSample) = timed { Sampling.select(subs, p.sampling) }
-    val (assignments, tCluster) = timed {
-      val spark = points.sparkSession
-      import spark.implicits._
-      GreedyClustering.assign(spark.createDataset(subs.toIndexedSeq), reps,
-                              p.eps, p.minOverlapFrac).collect()
-    }
+    val (series, tVote) = timed(Voting.votedSeries(points, p.sigma))
+    val (subs, tSeg) = timed(series.flatMap(Segmentation.segmentOne(_, p.segmentation)))
+    val (reps, tSample) = timed(Sampling.select(subs, p.sampling))
+    val (assignments, tCluster) =
+      timed(GreedyClustering.assignLocal(subs, reps, p.eps, p.minOverlapFrac))
     Result(subs, reps, assignments, Timings(tVote, tSeg, tSample, tCluster))
   }
 
-  /** Driver-local SaCO + assignment over already-voted, already-segmented
-    * data — the per-partition path used inside ReTraTree/QuT, where chunks
-    * are small and job-dispatch overhead would dominate.
+  /** SaCO (sampling, then assignment) over already-voted, already-segmented
+    * sub-trajectories: what [[run]] does after segmentation, used per
+    * ReTraTree sub-chunk.
     */
   def localPhases(subs: Array[SubTraj], p: Params): (Array[SubTraj], Array[Assignment]) = {
     val reps = Sampling.select(subs, p.sampling)

@@ -53,6 +53,9 @@ object Experiments {
   def runE1(spark: SparkSession,
             sizes: Seq[Int] = Seq(100, 200, 400, 800),
             tSteps: Int = 180): Seq[E1Row] = {
+    // One untimed run first, so that JIT and Spark warm-up stay out of the first row.
+    S2TClustering.run(TrajGen.points(TrajGen.generate(spark, mod(spark, sizes.head, tSteps))),
+                      S2TClustering.Params(maxReps = 128))
     sizes.map { n =>
       val df = TrajGen.points(TrajGen.generate(spark, mod(spark, n, tSteps))).cache()
       val nPoints = df.count()

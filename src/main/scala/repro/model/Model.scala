@@ -1,5 +1,7 @@
 package repro.model
 
+import org.apache.spark.sql.{DataFrame, Dataset}
+
 /** Core data model for the Moving Object Database (MOD).
   *
   * A trajectory is the ordered sequence of [[TrajPoint]]s of one object; as in
@@ -73,6 +75,16 @@ object Series {
       s"rows of several objects: ${rows.map(_._1).distinct.mkString(", ")}")
     val s = rows.sortBy(_._2)
     Series(objId, s.map(_._2), s.map(_._3), s.map(_._4), s.map(_._5))
+  }
+
+  /** One series per object of a DataFrame (obj_id, t, x, y, vote): the
+    * program's one grouping of samples by object.
+    */
+  def byObject(rows: DataFrame): Dataset[Series] = {
+    val spark = rows.sparkSession
+    import spark.implicits._
+    rows.select("obj_id", "t", "x", "y", "vote").as[(Long, Long, Double, Double, Double)]
+      .groupByKey(_._1).mapGroups((_, it) => fromRows(it.toArray))
   }
 }
 

@@ -1,7 +1,7 @@
 package repro.model
 
 import org.apache.spark.sql.{DataFrame, Dataset}
-import org.apache.spark.sql.functions.{col, lit}
+import org.apache.spark.sql.functions.lit
 
 /** Resampling of raw (possibly irregular) GPS traces onto a regular time grid.
   *
@@ -38,20 +38,13 @@ object Resample {
     out.result()
   }
 
-  /** Resample a MOD DataFrame (obj_id, t, x, y) onto the `dt` grid.
-    * Runs per trajectory via `groupByKey.flatMapGroups` — each object's trace
-    * is small, the MOD may not be.
+  /** Resample a MOD DataFrame (obj_id, t, x, y) onto the `dt` grid, one
+    * trajectory at a time (each object's trace is small, the MOD may not be).
     */
   def resample(points: DataFrame, dt: Long): Dataset[TrajPoint] = {
     val spark = points.sparkSession
     import spark.implicits._
-    points
-      .select(col("obj_id"), col("t"), col("x"), col("y"), lit(0.0) as "vote")
-      .as[(Long, Long, Double, Double, Double)]
-      .groupByKey(_._1)
-      .flatMapGroups { (objId, it) =>
-        val s = Series.fromRows(it.toArray)
-        resampleOne(objId, s.ts, s.xs, s.ys, dt).iterator
-      }
+    Series.byObject(points.withColumn("vote", lit(0.0)))
+      .flatMap(s => resampleOne(s.objId, s.ts, s.xs, s.ys, dt))
   }
 }

@@ -65,6 +65,13 @@ final class ReTraTree(val params: ReTraTree.Params, val dataDir: String) {
     math.min(params.subChunksPerChunk - 1, ((tStart - chunkStart(chunkId)) / w).toInt)
   }
 
+  /** One series cut at chunk borders: (chunk id, its samples there) in chunk
+    * order. The build and inserts both split trajectories this way.
+    */
+  def pieces(s: Series): Array[(Long, Series)] =
+    s.ts.map(math.floorDiv(_, params.tau)).distinct
+      .flatMap(c => s.clip(chunkStart(c), chunkEnd(c)).map(c -> _))
+
   private def chunkFile(chunkId: Long): Path = Paths.get(dataDir, s"chunk_$chunkId.l4")
 
   /** Read one chunk's voted samples back from its level-4 file, in the order
@@ -109,8 +116,7 @@ final class ReTraTree(val params: ReTraTree.Params, val dataDir: String) {
     val s = Series.fromRows(pts.map(p => (p.objId, p.t, p.x, p.y, 0.0)))
     require(s.ts.indices.drop(1).forall(i => s.ts(i) > s.ts(i - 1)),
       s"duplicate timestamp in the trajectory of object ${s.objId}")
-    for (chunkId <- s.ts.map(math.floorDiv(_, params.tau)).distinct;
-         piece <- s.clip(chunkStart(chunkId), chunkEnd(chunkId))) {
+    for ((chunkId, piece) <- pieces(s)) {
       val cc = chunks.getOrElse(chunkId, {
         val fresh = new ChunkClustering(chunkId)
         chunks = chunks.updated(chunkId, fresh)
@@ -167,8 +173,8 @@ object ReTraTree {
   }
 
   /** Build timings (the one-time preprocessing cost, reported in E2): the
-    * Spark job that votes and collects per-(chunk, object) series, the
-    * level-4 file writes, and segmentation + SaCO per chunk on the driver.
+    * Spark job that votes and collects per-object series, cut into chunk
+    * pieces; the level-4 file writes; segmentation + SaCO on the driver.
     */
   final case class BuildStats(votingMs: Long, writeMs: Long, clusterMs: Long,
                               nChunks: Int) {
@@ -176,29 +182,19 @@ object ReTraTree {
   }
 
   /** Build the tree over a MOD DataFrame (obj_id, t, x, y): one global
-    * Spark voting pass (chunking cannot change votes), collected as
-    * per-(chunk, object) series; one level-4 file per chunk under `dataDir`
+    * voting pass (chunking cannot change votes), [[Voting.votedSeries]], cut
+    * into chunk [[pieces]]; one level-4 file per chunk under `dataDir`
     * (created if missing, cleared of an earlier tree's level 4); then
     * segmentation + SaCO per chunk on the driver, as in Hermes.
     */
   def build(points: DataFrame, params: Params, dataDir: String): (ReTraTree, BuildStats) = {
-    val spark = points.sparkSession
-    import spark.implicits._
-    val tau = params.tau // the closure below captures this, not the tree
-
+    val tree = new ReTraTree(params, dataDir)
     val (byChunk, tVote) = timed {
-      Voting.votes(points, params.s2t.sigma)
-        .as[(Long, Long, Double, Double, Double)]
-        .groupByKey(r => (math.floorDiv(r._2, tau), r._1))
-        .mapGroups { (key: (Long, Long), rows: Iterator[(Long, Long, Double, Double, Double)]) =>
-          (key._1, Series.fromRows(rows.toArray))
-        }
-        .collect()
+      Voting.votedSeries(points, params.s2t.sigma).flatMap(tree.pieces)
         .groupBy(_._1).toSeq.sortBy(_._1)
-        .map { case (chunkId, rows) => chunkId -> rows.map(_._2) }
+        .map { case (chunkId, pieces) => chunkId -> pieces.map(_._2) }
     }
 
-    val tree = new ReTraTree(params, dataDir)
     val (_, tWrite) = timed {
       val dir = Files.createDirectories(Paths.get(dataDir))
       Using.resource(Files.newDirectoryStream(dir, "chunk_*.l4"))(_.forEach(Files.delete(_)))

@@ -91,15 +91,13 @@ object Segmentation {
     out.result()
   }
 
-  /** Distributed wrapper: (obj_id, t, x, y, vote) → Dataset[SubTraj], one
-    * group per trajectory (per-partition work over trajectory groups).
+  /** [[segmentOne]] per object of a voted DataFrame (obj_id, t, x, y, vote),
+    * in the executors. No program path calls it (S2T segments on the
+    * driver); the benchmark's traced S2T run composes it.
     */
   def segmentTrajectories(voted: DataFrame, p: Params): Dataset[SubTraj] = {
     val spark = voted.sparkSession
     import spark.implicits._
-    voted
-      .select("obj_id", "t", "x", "y", "vote").as[(Long, Long, Double, Double, Double)]
-      .groupByKey(_._1)
-      .flatMapGroups((_, it) => segmentOne(Series.fromRows(it.toArray), p).iterator)
+    Series.byObject(voted).flatMap(segmentOne(_, p))
   }
 }

@@ -3,7 +3,7 @@ package repro.voting
 import scala.collection.mutable
 
 import org.apache.spark.sql.DataFrame
-import repro.model.TrajPoint
+import repro.model.{Series, TrajPoint}
 
 /** The voting step of NaTS (phase 1 of S2T-Clustering).
   *
@@ -57,6 +57,12 @@ object Voting {
       }
       .toDF("obj_id", "t", "x", "y", "vote")
   }
+
+  /** [[votes]], then one series per object, collected in object order: the
+    * one Spark job of S2T-Clustering and of the ReTraTree build.
+    */
+  def votedSeries(points: DataFrame, sigma: Double): Array[Series] =
+    Series.byObject(votes(points, sigma)).collect().sortBy(_.objId)
 
   /** Voting on the driver: group by t, then the same [[kernel]]. Keyed by
     * (obj_id, t); same preconditions as [[votes]].

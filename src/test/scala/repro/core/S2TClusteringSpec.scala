@@ -2,8 +2,9 @@ package repro.core
 
 import repro.SparkSpec
 import repro.eval.Quality
-import repro.model.Assignment
+import repro.model.{Assignment, Series, SubTraj, TrajPoint}
 import repro.traj.TrajGen
+import repro.voting.{Segmentation, Voting}
 
 class S2TClusteringSpec extends SparkSpec {
 
@@ -92,6 +93,73 @@ class S2TClusteringSpec extends SparkSpec {
     points.count() // the input's own cache is not the run's
     val dup = points.union(points.where("obj_id = 0 AND t = 0"))
     assertRejectedWithoutLeak("duplicate samples")(S2TClustering.run(dup, S2TClustering.Params()))
+  }
+
+  /** S2T with no Spark: `votesLocal`, one series per object, then
+    * segmentation and SaCO.
+    */
+  private def driverOnly(p: TrajGen.Params, s2t: S2TClustering.Params)
+      : (Array[SubTraj], Array[SubTraj], Array[Assignment]) = {
+    val pts = TrajGen.generateLocal(p).map(lp => TrajPoint(lp.objId, lp.t, lp.x, lp.y))
+    val votes = Voting.votesLocal(pts, s2t.sigma)
+    val series = pts.groupBy(_.objId).toArray.sortBy(_._1).map { case (_, ps) =>
+      Series.fromRows(ps.map(q => (q.objId, q.t, q.x, q.y, votes((q.objId, q.t)))))
+    }
+    val subs = series.flatMap(Segmentation.segmentOne(_, s2t.segmentation))
+    val (reps, assignments) = S2TClustering.localPhases(subs, s2t)
+    (subs, reps, assignments)
+  }
+
+  test("run equals the driver-only reference on three seeds, one with switchers") {
+    val s2t = S2TClustering.Params()
+    for (p <- Seq(genParams, genParams.copy(seed = 29L), genParams.copy(switchFrac = 0.5, seed = 21L))) {
+      val r = S2TClustering.run(TrajGen.points(TrajGen.generate(spark, p)), s2t)
+      val (subs, reps, assignments) = driverOnly(p, s2t)
+      assert(r.subs.map(s => (s.key, s.ts.toSeq)).toSeq == subs.map(s => (s.key, s.ts.toSeq)).toSeq,
+        s"seed ${p.seed}: sub-trajectories differ")
+      assert(r.reps.map(_.key).toSeq == reps.map(_.key).toSeq, s"seed ${p.seed}: representatives differ")
+      assert(r.assignments.map(a => (a.objId, a.subId, a.clusterId)).toSeq ==
+             assignments.map(a => (a.objId, a.subId, a.clusterId)).toSeq, s"seed ${p.seed}: assignments differ")
+      r.assignments.zip(assignments).foreach { case (a, b) =>
+        assert(a.dist == b.dist || math.abs(a.dist - b.dist) <= 1e-9, s"seed ${p.seed}: $a vs $b")
+      }
+    }
+  }
+
+  test("a run starts only the jobs of one votedSeries call") {
+    points.count() // the input's own cache is not the run's
+    val voting = jobsDuring(Voting.votedSeries(points, S2TClustering.Params().sigma))
+    assert(voting >= 1)
+    assert(jobsDuring(S2TClustering.run(points, S2TClustering.Params())) == voting)
+  }
+
+  // One case per field: each invalid value is rejected at construction,
+  // naming the field, before any Spark job starts.
+  for ((field, invalid) <- Seq[(String, Seq[() => S2TClustering.Params])](
+         "sigma" -> Seq(() => S2TClustering.Params(sigma = 0.0), () => S2TClustering.Params(sigma = -1.5),
+                        () => S2TClustering.Params(sigma = Double.NaN)),
+         "lambda" -> Seq(() => S2TClustering.Params(lambda = -0.1), () => S2TClustering.Params(lambda = Double.NaN)),
+         "minLen" -> Seq(() => S2TClustering.Params(minLen = 0), () => S2TClustering.Params(minLen = -3)),
+         "maxGap" -> Seq(() => S2TClustering.Params(maxGap = -1L)),
+         "maxReps" -> Seq(() => S2TClustering.Params(maxReps = 0), () => S2TClustering.Params(maxReps = -1)),
+         "eps" -> Seq(() => S2TClustering.Params(eps = -1.0), () => S2TClustering.Params(eps = Double.NaN),
+                      () => S2TClustering.Params(eps = Double.PositiveInfinity)),
+         "minOverlapFrac" -> Seq(() => S2TClustering.Params(minOverlapFrac = -0.1),
+                                 () => S2TClustering.Params(minOverlapFrac = 1.1),
+                                 () => S2TClustering.Params(minOverlapFrac = Double.NaN)))) {
+    test(s"Params reject an invalid $field before any Spark job starts") {
+      points.count()
+      val jobs = jobsDuring(invalid.foreach { params =>
+        val e = intercept[IllegalArgumentException](S2TClustering.run(points, params()))
+        assert(e.getMessage.contains(field), e.getMessage)
+      })
+      assert(jobs == 0)
+    }
+  }
+
+  test("Params accept the bounds of every range") {
+    S2TClustering.Params(lambda = 0.0, maxGap = 0L, eps = 0.0, minOverlapFrac = 0.0, minLen = 1, maxReps = 1)
+    S2TClustering.Params(minOverlapFrac = 1.0)
   }
 
   test("clusterSizes counts only non-outlier members") {

@@ -261,6 +261,34 @@ class ReTraTreeSpec extends SparkSpec {
     }
   }
 
+  test("a build starts only the jobs of one votedSeries call") {
+    pointsDf.count() // the input's own cache is not the build's
+    val voting = jobsDuring(Voting.votedSeries(pointsDf, S2TClustering.Params().sigma))
+    assert(voting >= 1)
+    assert(jobsDuring(ReTraTree.build(pointsDf, ReTraTree.Params(tau = tau), tempDir("retratree-jobs"))) == voting)
+  }
+
+  test("build and insertTrajectory put samples before 0 and on chunk borders in the same chunks") {
+    import spark.implicits._
+    val rnd = new scala.util.Random(5)
+    // Samples at -2τ … 2τ, every 10 s: each border -2τ, -τ, 0, τ, 2τ is one.
+    val pts = for (o <- 0L until 6L; t <- -2 * tau to 2 * tau by 10L)
+      yield TrajPoint(o, t, o * 3.0 + rnd.nextDouble(), rnd.nextDouble() * 5)
+    val params = ReTraTree.Params(tau = tau, reclusterThreshold = 1000)
+    val (built, _) = ReTraTree.build(pts.map(p => (p.objId, p.t, p.x, p.y)).toDF("obj_id", "t", "x", "y"),
+                                     params, tempDir("retratree-borders"))
+    val inserted = new ReTraTree(params, tempDir("retratree-borders-ins"))
+    pts.groupBy(_.objId).values.foreach(traj => inserted.insertTrajectory(traj.toArray))
+    def samples(series: Iterable[Series]) =
+      series.flatMap(s => s.ts.map(t => (s.objId, t))).toSet
+    val byBuild = built.chunks.keys.map(c => c -> samples(built.loadChunk(c))).toMap
+    val byInsert = inserted.chunks.map { case (c, cc) => c -> samples(cc.pendingOutliers) }
+    assert(byBuild.keySet == Set(-2L, -1L, 0L, 1L, 2L))
+    assert(byBuild == byInsert)
+    for ((c, keys) <- byBuild; (_, t) <- keys) assert(math.floorDiv(t, tau) == c)
+    assert(byBuild(-1L).map(_._2).min == -tau && byBuild(0L).map(_._2).min == 0L)
+  }
+
   test("build stats expose the one-time preprocessing costs") {
     assert(buildStats.votingMs >= 0 && buildStats.writeMs >= 0 && buildStats.clusterMs >= 0)
     assert(buildStats.totalMs == buildStats.votingMs + buildStats.writeMs + buildStats.clusterMs)
