@@ -10,8 +10,8 @@ import repro.voting.Voting
   * It computes exactly the same votes as [[repro.voting.Voting.votes]], but
   * the way a procedural PL/pgSQL function over an unindexed table would: for
   * every sample, a full scan over all other samples testing temporal equality
-  * and spatial distance — no time hashing, no spatial grid, no set-based
-  * join. O(P²) in the number of samples.
+  * and spatial distance — no grouping of samples by t, no spatial grid.
+  * O(P²) in the number of samples.
   */
 object NaiveVoting {
 

@@ -2,7 +2,7 @@ package repro.baselines
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
-import repro.Timing.timed
+import repro.Timing.span
 import repro.core.S2TClustering
 import repro.rtree.{Box3D, RTree3D}
 
@@ -16,12 +16,7 @@ import repro.rtree.{Box3D, RTree3D}
   */
 object RangeQueryS2T {
 
-  final case class Timings(rangeQueryMs: Long, rtreeBuildMs: Long,
-                           s2t: S2TClustering.Timings) {
-    def totalMs: Long = rangeQueryMs + rtreeBuildMs + s2t.totalMs
-  }
-
-  final case class Result(s2t: S2TClustering.Result, rtree: RTree3D, timings: Timings)
+  final case class Result(s2t: S2TClustering.Result, rtree: RTree3D)
 
   /** Run the three-step baseline over W = [w0, w1). */
   def query(points: DataFrame, w0: Long, w1: Long, p: S2TClustering.Params): Result = {
@@ -31,11 +26,11 @@ object RangeQueryS2T {
     // (i) temporal range query
     val window = points.where(col("t") >= w0 && col("t") < w1).cache()
     try {
-      val (_, tRange) = timed(window.count())
+      span("range query")(window.count())
 
       // (ii) R-tree on the result (per-object MBBs, as pg3D-Rtree indexes
       // trajectories)
-      val (rtree, tRtree) = timed {
+      val rtree = span("rtree build") {
         val boxes = window
           .groupBy("obj_id")
           .agg(min("x") as "minx", max("x") as "maxx",
@@ -49,8 +44,7 @@ object RangeQueryS2T {
       }
 
       // (iii) full S2T-Clustering on the window
-      val s2t = S2TClustering.run(window, p)
-      Result(s2t, rtree, Timings(tRange, tRtree, s2t.timings))
+      Result(S2TClustering.run(window, p), rtree)
     } finally window.unpersist()
   }
 }

@@ -10,7 +10,7 @@ import scala.collection.mutable
   *
   * Faithful to [5]: MDL-based trajectory partitioning into characteristic
   * line segments, then density-based clustering (DBSCAN) of segments under
-  * the weighted perpendicular/parallel/angular segment distance, with a
+  * the perpendicular + parallel + angular segment distance, with a
   * trajectory-cardinality check per cluster.
   */
 object Traclus {
@@ -24,8 +24,7 @@ object Traclus {
     def len: Double = math.hypot(x2 - x1, y2 - y1)
   }
 
-  final case class Params(eps: Double = 8.0, minLns: Int = 3,
-                          wPerp: Double = 1.0, wPar: Double = 1.0, wTheta: Double = 1.0)
+  final case class Params(eps: Double = 8.0, minLns: Int = 3)
 
   // ------------------------------------------------------------ partitioning
 
@@ -128,12 +127,12 @@ object Traclus {
     math.min(outside(proj(px, py)), outside(proj(qx, qy)))
   }
 
-  /** The TRACLUS weighted segment distance; longer segment is the base. */
-  def segDistance(a: Seg, b: Seg, p: Params): Double = {
+  /** The TRACLUS segment distance (equal weights); longer segment is the base. */
+  def segDistance(a: Seg, b: Seg): Double = {
     val (lng, sht) = if (a.len >= b.len) (a, b) else (b, a)
-    p.wPerp * perpSegDist(lng.x1, lng.y1, lng.x2, lng.y2, sht.x1, sht.y1, sht.x2, sht.y2) +
-      p.wPar * parallelDist(lng.x1, lng.y1, lng.x2, lng.y2, sht.x1, sht.y1, sht.x2, sht.y2) +
-      p.wTheta * angularDist(lng.x1, lng.y1, lng.x2, lng.y2, sht.x1, sht.y1, sht.x2, sht.y2)
+    perpSegDist(lng.x1, lng.y1, lng.x2, lng.y2, sht.x1, sht.y1, sht.x2, sht.y2) +
+      parallelDist(lng.x1, lng.y1, lng.x2, lng.y2, sht.x1, sht.y1, sht.x2, sht.y2) +
+      angularDist(lng.x1, lng.y1, lng.x2, lng.y2, sht.x1, sht.y1, sht.x2, sht.y2)
   }
 
   // ----------------------------------------------------------------- DBSCAN
@@ -146,7 +145,7 @@ object Traclus {
     val n = segs.length
     val labels = Array.fill(n)(-2) // -2 unvisited, -1 noise
     def neighbors(i: Int): IndexedSeq[Int] =
-      (0 until n).filter(j => j != i && segDistance(segs(i), segs(j), p) <= p.eps)
+      (0 until n).filter(j => j != i && segDistance(segs(i), segs(j)) <= p.eps)
     var cid = 0
     for (i <- 0 until n if labels(i) == -2) {
       val nb = neighbors(i)

@@ -1,7 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
-import repro.Timing.timed
+import repro.Timing.span
 import repro.clustering.GreedyClustering
 import repro.model.{Assignment, SubTraj}
 import repro.sampling.Sampling
@@ -45,19 +45,11 @@ object S2TClustering {
     def sampling: Sampling.Params = Sampling.Params(eps, minOverlapFrac, maxReps, minAvgVote)
   }
 
-  /** Wall-clock per phase, for the E1 runtime-breakdown table: voting is the
-    * one Spark job, the other phases are driver time.
-    */
-  final case class Timings(votingMs: Long, segmentationMs: Long, samplingMs: Long,
-                           clusteringMs: Long) {
-    def totalMs: Long = votingMs + segmentationMs + samplingMs + clusteringMs
-  }
-
   /** Full result: the segmentation, the sampling set (cluster ids = indices),
     * and the per-sub-trajectory assignments (outliers have clusterId -1).
     */
   final case class Result(subs: Array[SubTraj], reps: Array[SubTraj],
-                          assignments: Array[Assignment], timings: Timings) {
+                          assignments: Array[Assignment]) {
     def nClusters: Int = reps.length
     def outliers: Array[Assignment] = assignments.filter(_.clusterId == Assignment.Outlier)
     /** Members per cluster id (clusters may be empty of non-rep members). */
@@ -67,24 +59,22 @@ object S2TClustering {
   }
 
   /** Run the whole pipeline on a MOD DataFrame (obj_id, t, x, y), resampled
-    * on a common time grid.
+    * on a common time grid. Its phases are the spans "voting" (the one Spark
+    * job), "segmentation", "sampling" and "assignment" (driver time).
     */
   def run(points: DataFrame, p: Params): Result = {
-    val (series, tVote) = timed(Voting.votedSeries(points, p.sigma))
-    val (subs, tSeg) = timed(series.flatMap(Segmentation.segmentOne(_, p.segmentation)))
-    val (reps, tSample) = timed(Sampling.select(subs, p.sampling))
-    val (assignments, tCluster) =
-      timed(GreedyClustering.assignLocal(subs, reps, p.eps, p.minOverlapFrac))
-    Result(subs, reps, assignments, Timings(tVote, tSeg, tSample, tCluster))
+    val series = span("voting")(Voting.votedSeries(points, p.sigma))
+    val subs = span("segmentation")(series.flatMap(Segmentation.segmentOne(_, p.segmentation)))
+    val (reps, assignments) = localPhases(subs, p)
+    Result(subs, reps, assignments)
   }
 
   /** SaCO (sampling, then assignment) over already-voted, already-segmented
-    * sub-trajectories: what [[run]] does after segmentation, used per
-    * ReTraTree sub-chunk.
+    * sub-trajectories: [[run]] after segmentation, and each ReTraTree
+    * sub-chunk's clustering.
     */
   def localPhases(subs: Array[SubTraj], p: Params): (Array[SubTraj], Array[Assignment]) = {
-    val reps = Sampling.select(subs, p.sampling)
-    val assignments = GreedyClustering.assignLocal(subs, reps, p.eps, p.minOverlapFrac)
-    (reps, assignments)
+    val reps = span("sampling")(Sampling.select(subs, p.sampling))
+    (reps, span("assignment")(GreedyClustering.assignLocal(subs, reps, p.eps, p.minOverlapFrac)))
   }
 }

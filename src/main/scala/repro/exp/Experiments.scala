@@ -2,7 +2,7 @@ package repro.exp
 
 import org.apache.spark.sql.SparkSession
 import org.apache.spark.sql.functions.sum
-import repro.Timing.timed
+import repro.Timing.{Spans, record}
 import repro.baselines.{Convoys, NaiveVoting, RangeQueryS2T, TOptics, Traclus}
 import repro.core.{QuTClustering, S2TClustering}
 import repro.eval.Quality
@@ -59,11 +59,10 @@ object Experiments {
     sizes.map { n =>
       val df = TrajGen.points(TrajGen.generate(spark, mod(spark, n, tSteps))).cache()
       val nPoints = df.count()
-      val r = S2TClustering.run(df, S2TClustering.Params(maxReps = 128))
+      val (r, s) = record(S2TClustering.run(df, S2TClustering.Params(maxReps = 128)))
       df.unpersist()
-      E1Row(n, nPoints, r.timings.votingMs, r.timings.segmentationMs,
-            r.timings.samplingMs, r.timings.clusteringMs, r.timings.totalMs,
-            r.subs.length, r.nClusters, r.outliers.length)
+      E1Row(n, nPoints, s.ms("voting"), s.ms("segmentation"), s.ms("sampling"),
+            s.ms("assignment"), s.ms.values.sum, r.subs.length, r.nClusters, r.outliers.length)
     }
   }
 
@@ -82,7 +81,10 @@ object Experiments {
                          qutClusters: Int, baselineClusters: Int,
                          reusedChunks: Int, recomputedChunks: Int)
 
-  final case class E2Result(buildStats: ReTraTree.BuildStats, rows: Seq[E2Row])
+  /** The build's one-time cost: its spans "voting", "write" and "cluster". */
+  final case class E2Build(spans: Spans, nChunks: Int) { def totalMs: Long = spans.totalMs }
+
+  final case class E2Result(buildStats: E2Build, rows: Seq[E2Row])
 
   def runE2(spark: SparkSession, nObjects: Int = 200, nChunks: Int = 8,
             stepsPerChunk: Int = 60): E2Result = {
@@ -93,23 +95,23 @@ object Experiments {
     val dir = Files.createTempDirectory("retratree")
     val s2tParams = S2TClustering.Params(maxReps = 128)
     try {
-      val (tree, buildStats) = ReTraTree.build(
-        df, ReTraTree.Params(tau = tau, s2t = s2tParams), dir.toString)
+      val (tree, built) = record(ReTraTree.build(
+        df, ReTraTree.Params(tau = tau, s2t = s2tParams), dir.toString))
 
       val windows: Seq[(Double, Boolean, Long, Long)] =
         Seq(1, 2, 4, 8).map(k => (k.toDouble, true, 0L, k * tau)) ++
         Seq(1, 2, 4).map(k => (k + 0.0, false, tau / 2, tau / 2 + k * tau))
 
+      // Both sides are timed the same way: wall clock around the call.
       val rows = windows.map { case (wChunks, aligned, w0, w1) =>
-        val (qut, qutMs) = timed(QuTClustering.query(tree, w0, w1))
-        val base = RangeQueryS2T.query(df, w0, w1, s2tParams)
-        val baseMs = base.timings.totalMs
-        E2Row(wChunks, aligned, qutMs, baseMs,
-              baseMs.toDouble / math.max(1L, qutMs),
+        val (qut, q) = record(QuTClustering.query(tree, w0, w1))
+        val (base, b) = record(RangeQueryS2T.query(df, w0, w1, s2tParams))
+        E2Row(wChunks, aligned, q.totalMs, b.totalMs,
+              b.totalMs.toDouble / math.max(1L, q.totalMs),
               qut.nClusters, base.s2t.nClusters,
               qut.nReusedChunks, qut.nRecomputedChunks)
       }
-      E2Result(buildStats, rows)
+      E2Result(E2Build(built, tree.chunks.size), rows)
     } finally {
       df.unpersist()
       dir.toFile.listFiles.foreach(f => Files.delete(f.toPath)) // the tree's flat level 4
@@ -118,9 +120,9 @@ object Experiments {
   }
 
   def formatE2(r: E2Result): String = {
-    val b = r.buildStats
-    val head = s"ReTraTree build (one-time): voting ${b.votingMs} ms, " +
-      s"write ${b.writeMs} ms, cluster ${b.clusterMs} ms, ${b.nChunks} chunks\n"
+    val b = r.buildStats.spans.ms
+    val head = s"ReTraTree build (one-time): voting ${b("voting")} ms, " +
+      s"write ${b("write")} ms, cluster ${b("cluster")} ms, ${r.buildStats.nChunks} chunks\n"
     head + format(
       Seq("|W| (chunks)", "aligned", "QuT ms", "RQ+S2T ms", "speedup",
           "QuT clusters", "base clusters", "reused", "recomputed"),
@@ -145,7 +147,7 @@ object Experiments {
     df.count()
 
     // --- S2T (sub-trajectory level)
-    val (s2t, s2tMs) = timed(S2TClustering.run(df, S2TClustering.Params(maxReps = 128)))
+    val (s2t, s2tSpans) = record(S2TClustering.run(df, S2TClustering.Params(maxReps = 128)))
     val subByKey = s2t.subs.map(s => (s.objId, s.subId) -> s).toMap
     val s2tPairs = s2t.assignments.flatMap { a =>
       val s = subByKey((a.objId, a.subId))
@@ -156,21 +158,21 @@ object Experiments {
     val trajs = labeled.groupBy(_.objId).toSeq.sortBy(_._1).map { case (_, pts) =>
       Series.fromRows(pts.map(lp => (lp.objId, lp.t, lp.x, lp.y, 0.0)))
     }
-    val ((segs, segLabels), traclusMs) = timed(Traclus.run(trajs, Traclus.Params()))
+    val ((segs, segLabels), traclusSpans) = record(Traclus.run(trajs, Traclus.Params()))
     val traclusPairs = segs.zip(segLabels).flatMap { case (seg, c) =>
       val ts = trajs.find(_.objId == seg.objId).get.ts
       (seg.i0 until seg.i1).map(i => truth((seg.objId, ts(i))) -> c)
     }.toSeq
 
     // --- T-OPTICS (whole trajectories)
-    val (toLabels, topticsMs) = timed(TOptics.run(trajs.toArray, TOptics.Params()))
+    val (toLabels, topticsSpans) = record(TOptics.run(trajs.toArray, TOptics.Params()))
     val topticsPairs = trajs.zip(toLabels).flatMap { case (s, c) =>
       s.ts.map(t => truth((s.objId, t)) -> c)
     }.toSeq
 
     // --- Convoys (co-movement pattern family, scenario 1's fourth method)
     val rawPts = labeled.map(lp => TrajPoint(lp.objId, lp.t, lp.x, lp.y))
-    val (convoys, convoyMs) = timed(
+    val (convoys, convoySpans) = record(
       Convoys.run(rawPts, Convoys.Params(eps = 8.0, minObjs = 4, minDuration = 6)))
     val convoyLabelOf = mutable.Map.empty[(Long, Long), Int]
     for ((c, i) <- convoys.sortBy(-_.objIds.size).zipWithIndex; o <- c.objIds;
@@ -183,10 +185,10 @@ object Experiments {
     def row(m: String, pairs: Seq[(Int, Int)], k: Int, ms: Long) =
       E3Row(m, Quality.ari(pairs), Quality.purity(pairs), Quality.groupRecall(pairs), k, ms)
     Seq(
-      row("S2T-Clustering", s2tPairs, s2t.nClusters, s2tMs),
-      row("TRACLUS", traclusPairs, segLabels.filter(_ >= 0).distinct.length, traclusMs),
-      row("T-OPTICS", topticsPairs, toLabels.filter(_ >= 0).distinct.length, topticsMs),
-      row("Convoys", convoyPairs, convoys.length, convoyMs),
+      row("S2T-Clustering", s2tPairs, s2t.nClusters, s2tSpans.totalMs),
+      row("TRACLUS", traclusPairs, segLabels.filter(_ >= 0).distinct.length, traclusSpans.totalMs),
+      row("T-OPTICS", topticsPairs, toLabels.filter(_ >= 0).distinct.length, topticsSpans.totalMs),
+      row("Convoys", convoyPairs, convoys.length, convoySpans.totalMs),
     )
   }
 
@@ -211,7 +213,7 @@ object Experiments {
       df.count()
       // Summing the vote column forces every vote, so no optimizer rule can
       // prune the computation being timed.
-      val (setSum, sparkMs) = timed {
+      val (setSum, setSpans) = record {
         Voting.votes(df, sigma).agg(sum("vote")).first().getDouble(0)
       }
       val local: Array[TrajPoint] = {
@@ -219,13 +221,13 @@ object Experiments {
         df.select("obj_id", "t", "x", "y").as[(Long, Long, Double, Double)]
           .collect().map(r => TrajPoint(r._1, r._2, r._3, r._4))
       }
-      val (naive, naiveMs) = timed { NaiveVoting.votes(local, sigma) }
+      val (naive, naiveSpans) = record { NaiveVoting.votes(local, sigma) }
       df.unpersist()
       val naiveSum = naive.sum
       require(math.abs(setSum - naiveSum) <= 1e-6 * math.max(1.0, math.abs(naiveSum)),
         s"N=$n: set-based vote sum $setSum differs from tuple-at-a-time $naiveSum")
-      E4Row(n, local.length, sparkMs, naiveMs,
-            naiveMs.toDouble / math.max(1L, sparkMs))
+      val (setMs, naiveMs) = (setSpans.totalMs, naiveSpans.totalMs)
+      E4Row(n, local.length, setMs, naiveMs, naiveMs.toDouble / math.max(1L, setMs))
     }
   }
 

@@ -5,11 +5,11 @@ import org.apache.spark.sql.functions.lit
 
 /** Resampling of raw (possibly irregular) GPS traces onto a regular time grid.
   *
-  * The voting phase joins positions of different objects at *equal*
-  * timestamps, so all trajectories must be sampled on the same grid. Hermes
-  * assumes near-uniform sampling of the input MOD; we make the assumption
-  * explicit by interpolating every trajectory at multiples of `dt` within its
-  * lifespan.
+  * The voting phase groups samples by timestamp: only positions at *equal*
+  * timestamps vote, so all trajectories must be sampled on the same grid.
+  * Hermes assumes near-uniform sampling of the input MOD; we make the
+  * assumption explicit by interpolating every trajectory at multiples of
+  * `dt` within its lifespan.
   */
 object Resample {
 

@@ -1,7 +1,7 @@
 package repro.retratree
 
 import org.apache.spark.sql.DataFrame
-import repro.Timing.timed
+import repro.Timing.span
 import repro.core.S2TClustering
 import repro.model.{Assignment, Series, SubTraj, TrajPoint}
 import repro.voting.{Segmentation, Voting}
@@ -172,42 +172,33 @@ object ReTraTree {
     require(reclusterThreshold >= 1, s"reclusterThreshold must be at least 1, got $reclusterThreshold")
   }
 
-  /** Build timings (the one-time preprocessing cost, reported in E2): the
-    * Spark job that votes and collects per-object series, cut into chunk
-    * pieces; the level-4 file writes; segmentation + SaCO on the driver.
-    */
-  final case class BuildStats(votingMs: Long, writeMs: Long, clusterMs: Long,
-                              nChunks: Int) {
-    def totalMs: Long = votingMs + writeMs + clusterMs
-  }
-
   /** Build the tree over a MOD DataFrame (obj_id, t, x, y): one global
     * voting pass (chunking cannot change votes), [[Voting.votedSeries]], cut
     * into chunk [[pieces]]; one level-4 file per chunk under `dataDir`
     * (created if missing, cleared of an earlier tree's level 4); then
-    * segmentation + SaCO per chunk on the driver, as in Hermes.
+    * segmentation + SaCO per chunk on the driver, as in Hermes. Its three
+    * steps are spans, the one-time preprocessing cost E2 reports.
     */
-  def build(points: DataFrame, params: Params, dataDir: String): (ReTraTree, BuildStats) = {
+  def build(points: DataFrame, params: Params, dataDir: String): ReTraTree = {
     val tree = new ReTraTree(params, dataDir)
-    val (byChunk, tVote) = timed {
+    val byChunk = span("voting") {
       Voting.votedSeries(points, params.s2t.sigma).flatMap(tree.pieces)
         .groupBy(_._1).toSeq.sortBy(_._1)
         .map { case (chunkId, pieces) => chunkId -> pieces.map(_._2) }
     }
-
-    val (_, tWrite) = timed {
+    span("write") {
       val dir = Files.createDirectories(Paths.get(dataDir))
       Using.resource(Files.newDirectoryStream(dir, "chunk_*.l4"))(_.forEach(Files.delete(_)))
       for ((chunkId, series) <- byChunk) writeChunk(tree.chunkFile(chunkId), series)
     }
-    val (_, tCluster) = timed {
+    span("cluster") {
       for ((chunkId, series) <- byChunk) {
         val cc = new ChunkClustering(chunkId)
         cc.subChunks = tree.clusterSeries(chunkId, series)
         tree.chunks = tree.chunks.updated(chunkId, cc)
       }
     }
-    (tree, BuildStats(tVote, tWrite, tCluster, tree.chunks.size))
+    tree
   }
 
   /** Level-4 file layout: the number of series, then per series its object

@@ -59,9 +59,6 @@ final class RTree3D private (root: Option[RTree3D.Node], val size: Int) {
     out.toIndexedSeq
   }
 
-  /** Payloads of all entries alive in the temporal period [t0, t1]. */
-  def queryTemporal(t0: Long, t1: Long): IndexedSeq[Int] = query(Box3D.temporal(t0, t1))
-
   /** Tree depth (0 when empty) — exposed for structural tests. */
   def depth: Int = {
     def rec(n: Node): Int = n match {

@@ -2,6 +2,7 @@ package repro.baselines
 
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
+import repro.Timing.record
 import repro.core.S2TClustering
 import repro.traj.TrajGen
 
@@ -46,10 +47,11 @@ class RangeQueryS2TSpec extends SparkSpec {
   }
 
   test("timings cover all three baseline steps") {
-    val r = RangeQueryS2T.query(pointsDf, 0L, 200L, S2TClustering.Params())
-    val t = r.timings
-    assert(t.rangeQueryMs >= 0 && t.rtreeBuildMs >= 0 && t.s2t.totalMs >= 0)
-    assert(t.totalMs == t.rangeQueryMs + t.rtreeBuildMs + t.s2t.totalMs)
+    val (_, s) = record(RangeQueryS2T.query(pointsDf, 0L, 200L, S2TClustering.Params()))
+    assert(s.ms.keys.toSeq ==
+      Seq("range query", "rtree build", "voting", "segmentation", "sampling", "assignment"))
+    assert(s.ms.values.forall(_ >= 0))
+    assert(s.ms.values.sum <= s.totalMs)
   }
 
   test("a rejected query releases the window it cached") {

@@ -57,40 +57,40 @@ class TraclusSpec extends AnyFunSuite {
 
   test("distance of a segment to itself is zero") {
     val s = seg(0, 0, 10, 0)
-    assert(Traclus.segDistance(s, s, P) < 1e-9)
+    assert(Traclus.segDistance(s, s) < 1e-9)
   }
 
   test("parallel segments at offset d have distance ~d (perpendicular term)") {
     val a = seg(0, 0, 10, 0)
     val b = seg(0, 3, 10, 3)
-    val d = Traclus.segDistance(a, b, P)
+    val d = Traclus.segDistance(a, b)
     assert(math.abs(d - 3.0) < 1e-6, s"expected ~3, got $d")
   }
 
   test("perpendicular segments pay an angular penalty") {
     val a = seg(0, 0, 10, 0)
     val b = seg(5, -5, 5, 5)
-    val d = Traclus.segDistance(a, b, P)
+    val d = Traclus.segDistance(a, b)
     assert(d >= 10.0, s"angular distance should contribute the full short length, got $d")
   }
 
   test("collinear but shifted segments pay a parallel penalty") {
     val a = seg(0, 0, 10, 0)
     val b = seg(20, 0, 30, 0)
-    val d = Traclus.segDistance(a, b, P)
+    val d = Traclus.segDistance(a, b)
     assert(d >= 10.0 - 1e-9, s"expected parallel shift >= 10, got $d")
   }
 
   test("segment distance is symmetric") {
     val a = seg(0, 0, 10, 2)
     val b = seg(3, 8, 15, 5)
-    assert(math.abs(Traclus.segDistance(a, b, P) - Traclus.segDistance(b, a, P)) < 1e-9)
+    assert(math.abs(Traclus.segDistance(a, b) - Traclus.segDistance(b, a)) < 1e-9)
   }
 
   test("anti-parallel segments are far apart (angular term uses full length)") {
     val a = seg(0, 0, 10, 0)
     val b = seg(10, 1, 0, 1)
-    assert(Traclus.segDistance(a, b, P) >= 10.0)
+    assert(Traclus.segDistance(a, b) >= 10.0)
   }
 
   // ---------------------------------------------------------------- DBSCAN

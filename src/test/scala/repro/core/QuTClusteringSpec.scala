@@ -12,7 +12,7 @@ class QuTClusteringSpec extends SparkSpec {
 
   private lazy val pointsDf = TrajGen.points(TrajGen.generate(spark, genParams)).cache()
   private lazy val tree = {
-    ReTraTree.build(pointsDf, ReTraTree.Params(tau = tau), tempDir("qut-spec"))._1
+    ReTraTree.build(pointsDf, ReTraTree.Params(tau = tau), tempDir("qut-spec"))
   }
 
   test("an aligned window reuses chunk clusterings and recomputes nothing") {

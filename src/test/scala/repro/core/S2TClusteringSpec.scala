@@ -1,6 +1,7 @@
 package repro.core
 
 import repro.SparkSpec
+import repro.Timing.record
 import repro.eval.Quality
 import repro.model.{Assignment, Series, SubTraj, TrajPoint}
 import repro.traj.TrajGen
@@ -84,9 +85,10 @@ class S2TClusteringSpec extends SparkSpec {
   }
 
   test("phase timings are recorded for every phase") {
-    val t = result.timings
-    assert(t.votingMs >= 0 && t.segmentationMs >= 0 && t.samplingMs >= 0 && t.clusteringMs >= 0)
-    assert(t.totalMs == t.votingMs + t.segmentationMs + t.samplingMs + t.clusteringMs)
+    val (_, s) = record(S2TClustering.run(points, S2TClustering.Params()))
+    assert(s.ms.keys.toSeq == Seq("voting", "segmentation", "sampling", "assignment"))
+    assert(s.ms.values.forall(_ >= 0))
+    assert(s.ms.values.sum <= s.totalMs)
   }
 
   test("a rejected run releases the votes it cached") {

@@ -1,6 +1,7 @@
 package repro.retratree
 
 import repro.{Oracle, SparkSpec}
+import repro.Timing.record
 import repro.core.{QuTClustering, S2TClustering}
 import repro.model.{Series, TrajPoint}
 import repro.traj.TrajGen
@@ -16,13 +17,12 @@ class ReTraTreeSpec extends SparkSpec {
   private val tau = 200L // 4 chunks over the 800s horizon
 
   private lazy val pointsDf = TrajGen.points(TrajGen.generate(spark, genParams)).cache()
-  private lazy val (tree, buildStats) = {
-    ReTraTree.build(pointsDf, ReTraTree.Params(tau = tau), tempDir("retratree-spec"))
-  }
+  private lazy val (tree, buildSpans) =
+    record(ReTraTree.build(pointsDf, ReTraTree.Params(tau = tau), tempDir("retratree-spec")))
 
   test("build creates one chunk per tau-length period with data") {
     assert(tree.chunks.keySet == Set(0L, 1L, 2L, 3L))
-    assert(buildStats.nChunks == 4)
+    assert(tree.chunks.size == 4)
   }
 
   test("chunk boundaries follow tau") {
@@ -92,7 +92,7 @@ class ReTraTreeSpec extends SparkSpec {
   test("build creates its directory, and a second build there leaves only its own files") {
     val dir = Paths.get(tempDir("retratree-twice"), "tree").toString
     ReTraTree.build(pointsDf, ReTraTree.Params(tau = tau), dir)
-    val (t2, _) = ReTraTree.build(pointsDf.where("t < 400"), ReTraTree.Params(tau = 2 * tau), dir)
+    val t2 = ReTraTree.build(pointsDf.where("t < 400"), ReTraTree.Params(tau = 2 * tau), dir)
     assert(t2.chunks.keySet == Set(0L))
     assert(level4Files(dir) == Seq("chunk_0.l4"))
     assert(t2.loadChunk(1L).isEmpty, "a stale chunk file of the first tree was read")
@@ -147,7 +147,7 @@ class ReTraTreeSpec extends SparkSpec {
 
   test("inserting a trajectory near an existing representative archives it as member") {
     val dir = tempDir("retratree-ins")
-    val (t2, _) = ReTraTree.build(pointsDf, ReTraTree.Params(tau = tau), dir)
+    val t2 = ReTraTree.build(pointsDf, ReTraTree.Params(tau = tau), dir)
     val cc = t2.chunks(0L)
     val before = cc.appended.length
     t2.insertTrajectory(laneTrajectory(900L, 0L, 0.5))
@@ -157,7 +157,7 @@ class ReTraTreeSpec extends SparkSpec {
 
   test("inserting a far-away trajectory lands in the outlier partition") {
     val dir = tempDir("retratree-ins2")
-    val (t2, _) = ReTraTree.build(pointsDf, ReTraTree.Params(tau = tau), dir)
+    val t2 = ReTraTree.build(pointsDf, ReTraTree.Params(tau = tau), dir)
     val cc = t2.chunks(0L)
     val pts = (0 until 20).map(i => TrajPoint(901L, i * 10L, 90000.0 + i, 90000.0)).toArray
     t2.insertTrajectory(pts)
@@ -167,7 +167,7 @@ class ReTraTreeSpec extends SparkSpec {
 
   test("an insert spanning several chunks is clipped per chunk") {
     val dir = tempDir("retratree-ins3")
-    val (t2, _) = ReTraTree.build(pointsDf, ReTraTree.Params(tau = tau), dir)
+    val t2 = ReTraTree.build(pointsDf, ReTraTree.Params(tau = tau), dir)
     val pts = (0 until 40).map(i => TrajPoint(902L, i * 10L, 70000.0, 70000.0)).toArray // spans chunks 0,1
     t2.insertTrajectory(pts)
     assert(t2.chunks(0L).pendingOutliers.length == 1)
@@ -176,7 +176,7 @@ class ReTraTreeSpec extends SparkSpec {
 
   test("the outlier partition triggers S2T when it reaches the threshold") {
     val dir = tempDir("retratree-ins4")
-    val (t2, _) = ReTraTree.build(pointsDf,
+    val t2 = ReTraTree.build(pointsDf,
       ReTraTree.Params(tau = tau, reclusterThreshold = 5), dir)
     val cc = t2.chunks(0L)
     val clustersBefore = cc.nClusters
@@ -193,7 +193,7 @@ class ReTraTreeSpec extends SparkSpec {
 
   test("after re-clustering, a further lane-mate insert is archived, not buffered") {
     val dir = tempDir("retratree-ins5")
-    val (t2, _) = ReTraTree.build(pointsDf,
+    val t2 = ReTraTree.build(pointsDf,
       ReTraTree.Params(tau = tau, reclusterThreshold = 5), dir)
     val cc = t2.chunks(0L)
     for (m <- 0 until 5) {
@@ -242,7 +242,7 @@ class ReTraTreeSpec extends SparkSpec {
 
   test("an insert at t < 0 lands in the floor-division chunk, as in build and QuT") {
     val dir = tempDir("retratree-ins6")
-    val (t2, _) = ReTraTree.build(pointsDf, ReTraTree.Params(tau = tau), dir)
+    val t2 = ReTraTree.build(pointsDf, ReTraTree.Params(tau = tau), dir)
     val pts = (0 until 20).map(i => TrajPoint(943L, -100L + i * 10L, 60000.0, 60000.0)).toArray
     t2.insertTrajectory(pts)
     assert(t2.chunks(-1L).pendingOutliers.map(_.ts.toSeq) == Seq((-100L to -10L by 10L)))
@@ -275,8 +275,8 @@ class ReTraTreeSpec extends SparkSpec {
     val pts = for (o <- 0L until 6L; t <- -2 * tau to 2 * tau by 10L)
       yield TrajPoint(o, t, o * 3.0 + rnd.nextDouble(), rnd.nextDouble() * 5)
     val params = ReTraTree.Params(tau = tau, reclusterThreshold = 1000)
-    val (built, _) = ReTraTree.build(pts.map(p => (p.objId, p.t, p.x, p.y)).toDF("obj_id", "t", "x", "y"),
-                                     params, tempDir("retratree-borders"))
+    val built = ReTraTree.build(pts.map(p => (p.objId, p.t, p.x, p.y)).toDF("obj_id", "t", "x", "y"),
+                                params, tempDir("retratree-borders"))
     val inserted = new ReTraTree(params, tempDir("retratree-borders-ins"))
     pts.groupBy(_.objId).values.foreach(traj => inserted.insertTrajectory(traj.toArray))
     def samples(series: Iterable[Series]) =
@@ -290,7 +290,8 @@ class ReTraTreeSpec extends SparkSpec {
   }
 
   test("build stats expose the one-time preprocessing costs") {
-    assert(buildStats.votingMs >= 0 && buildStats.writeMs >= 0 && buildStats.clusterMs >= 0)
-    assert(buildStats.totalMs == buildStats.votingMs + buildStats.writeMs + buildStats.clusterMs)
+    val phases = Seq("voting", "write", "cluster").map(buildSpans.ms(_))
+    assert(phases.forall(_ >= 0))
+    assert(phases.sum <= buildSpans.totalMs)
   }
 }

@@ -125,7 +125,7 @@ class RTree3DSpec extends AnyFunSuite {
 
   test("temporal query returns exactly the entries alive in the window") {
     val t = RTree3D.bulkLoad((0 until 100).map(i => (box(i, i, i * 10L, d = 9L), i)))
-    val got = t.queryTemporal(200, 299).sorted
+    val got = t.query(Box3D.temporal(200, 299)).sorted
     assert(got == (20 to 29).toVector)
   }
 
