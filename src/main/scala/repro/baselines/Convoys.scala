@@ -30,36 +30,16 @@ object Convoys {
     * (noise objects belong to no cluster).
     */
   def snapshotClusters(pts: Array[TrajPoint], eps: Double, minPts: Int): Seq[Set[Long]] = {
-    val n = pts.length
     val eps2 = eps * eps
-    def neighbors(i: Int): IndexedSeq[Int] =
-      (0 until n).filter { j =>
+    val labels = Dbscan.labels(pts.length, minPts, i =>
+      pts.indices.filter { j =>
         j != i && {
           val dx = pts(i).x - pts(j).x; val dy = pts(i).y - pts(j).y
           dx * dx + dy * dy <= eps2
         }
-      }
-    val labels = Array.fill(n)(-2)
-    var cid = 0
-    for (i <- 0 until n if labels(i) == -2) {
-      val nb = neighbors(i)
-      if (nb.length + 1 < minPts) labels(i) = -1
-      else {
-        labels(i) = cid
-        val queue = mutable.Queue(nb: _*)
-        while (queue.nonEmpty) {
-          val j = queue.dequeue()
-          if (labels(j) == -1) labels(j) = cid
-          else if (labels(j) == -2) {
-            labels(j) = cid
-            val nj = neighbors(j)
-            if (nj.length + 1 >= minPts) queue ++= nj
-          }
-        }
-        cid += 1
-      }
-    }
-    (0 until cid).map(c => pts.indices.filter(labels(_) == c).map(pts(_).objId).toSet)
+      })
+    (0 to labels.maxOption.getOrElse(-1))
+      .map(c => pts.indices.filter(labels(_) == c).map(pts(_).objId).toSet)
   }
 
   /** Discover all convoys in a MOD (driver-resident). Timestamps are the

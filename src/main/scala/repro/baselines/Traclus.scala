@@ -142,29 +142,8 @@ object Traclus {
     * dissolved into noise (the |PTR| check of [5]).
     */
   def cluster(segs: Array[Seg], p: Params): Array[Int] = {
-    val n = segs.length
-    val labels = Array.fill(n)(-2) // -2 unvisited, -1 noise
-    def neighbors(i: Int): IndexedSeq[Int] =
-      (0 until n).filter(j => j != i && segDistance(segs(i), segs(j)) <= p.eps)
-    var cid = 0
-    for (i <- 0 until n if labels(i) == -2) {
-      val nb = neighbors(i)
-      if (nb.length + 1 < p.minLns) labels(i) = -1
-      else {
-        labels(i) = cid
-        val queue = mutable.Queue(nb: _*)
-        while (queue.nonEmpty) {
-          val j = queue.dequeue()
-          if (labels(j) == -1) labels(j) = cid
-          else if (labels(j) == -2) {
-            labels(j) = cid
-            val nj = neighbors(j)
-            if (nj.length + 1 >= p.minLns) queue ++= nj
-          }
-        }
-        cid += 1
-      }
-    }
+    val labels = Dbscan.labels(segs.length, p.minLns, i =>
+      segs.indices.filter(j => j != i && segDistance(segs(i), segs(j)) <= p.eps))
     // |PTR| cardinality check
     val byCluster = segs.indices.groupBy(labels)
     for ((c, idxs) <- byCluster if c >= 0) {

@@ -1,121 +1,80 @@
 package repro.core
 
 import repro.model.{Assignment, SubTraj}
-import repro.retratree.{ReTraTree, SubChunkClustering}
+import repro.retratree.ReTraTree
 
-import scala.collection.mutable
+import scala.collection.mutable.ArrayBuffer
 
 /** Query-based Trajectory Clustering (QuT-Clustering, [10]) — the paper's
   * second core module: `SELECT QUT(D, Wi, We, τ, δ, t, d, γ)`.
   *
   * Given a ReTraTree over D and a temporal period W = [Wi, We):
-  *  - chunks fully inside W reuse their stored level-3 clusterings verbatim;
-  *  - chunks partially covered are re-clustered on their clipped portion only
-  *    — crucially reusing the stored votes (clipping cannot change a vote),
-  *    so only segmentation + SaCO are repeated, never the voting pass;
+  *  - chunks fully inside W reuse their stored level-3 clusterings, counting
+  *    the members that inserts appended;
+  *  - chunks partially covered are re-clustered from their level-4 samples
+  *    clipped to W, with the stored votes (clipping cannot change a vote), so
+  *    they are never re-voted; inserts never reach level 4, so these miss them;
   *  - clusters of consecutive chunks whose representatives meet at the shared
-  *    boundary (within the clustering ε of each other, within the
-  *    segmentation max-gap of the border) are merged into one time-spanning
-  *    cluster.
+  *    border (within ε of each other, within max-gap of the border) merge.
   */
 object QuTClustering {
 
-  /** One output cluster: a global id, the representatives contributing to it
-    * (one per constituent chunk-level cluster), and its member count.
-    */
+  /** A global id, the chunk-level representatives merged into it, and its member count. */
   final case class Cluster(id: Int, reps: Array[SubTraj], nMembers: Int) {
     def tStart: Long = reps.map(_.tStart).min
     def tEnd: Long   = reps.map(_.tEnd).max
   }
 
-  /** The answer, and how many queried chunks reused their stored level-3
-    * clusterings or were re-clustered from level 4.
-    */
-  final case class Result(clusters: Array[Cluster],
-                          outliers: Array[Assignment],
+  /** The answer, and how many queried chunks were reused or re-clustered from level 4. */
+  final case class Result(clusters: Array[Cluster], outliers: Array[Assignment],
                           nReusedChunks: Int, nRecomputedChunks: Int) {
     def nClusters: Int = clusters.length
     def nOutliers: Int = outliers.length
   }
 
-  /** Answer QUT over the tree for W = [w0, w1). */
+  /** Answer QUT over the tree for W = [w0, w1). The chunk-level clusters form one table, a row
+    * per representative in (chunk, sub-chunk, index) order. A chunk's rows are a range, numbered
+    * as `ChunkClustering.allReps`, which inserts assign against and re-clustering only appends to.
+    */
   def query(tree: ReTraTree, w0: Long, w1: Long): Result = {
     require(w0 < w1, s"empty window [$w0, $w1)")
+    val reps = ArrayBuffer.empty[SubTraj]
+    val members = ArrayBuffer.empty[Int]
+    val outliers = ArrayBuffer.empty[Assignment]
+    val ranges = ArrayBuffer.empty[(Long, Range)] // (chunk id, its rows)
+    var reused = 0
+    for (c <- math.floorDiv(w0, tree.params.tau) to math.floorDiv(w1 - 1, tree.params.tau);
+         cc <- tree.chunks.get(c)) {
+      val (lo, hi) = (tree.chunkStart(c), tree.chunkEnd(c))
+      val fullyCovered = w0 <= lo && hi <= w1
+      val subChunks =
+        if (fullyCovered) cc.subChunks
+        else tree.clusterSeries(c, tree.loadChunk(c).flatMap(_.clip(math.max(w0, lo), math.min(w1, hi))))
+      val from = reps.length
+      for (sc <- subChunks) {
+        val counts = new Array[Int](sc.reps.length)
+        for (a <- sc.assignments)
+          if (a.clusterId == Assignment.Outlier) outliers += a else counts(a.clusterId) += 1
+        reps ++= sc.reps; members ++= counts
+      }
+      if (fullyCovered) { reused += 1; cc.appended.foreach(a => members(from + a.clusterId) += 1) }
+      ranges += c -> (from until reps.length)
+    }
+
+    // Union-find between the rows of consecutive chunks; a root is its group's smallest row.
     val p = tree.params.s2t
-
-    val c0 = math.floorDiv(w0, tree.params.tau)
-    val c1 = math.floorDiv(w1 - 1, tree.params.tau)
-
-    // Per-chunk clusterings over W: (chunkId, sub-chunk clusterings).
-    val perChunk = mutable.ArrayBuffer.empty[(Long, Vector[SubChunkClustering])]
-    var reused = 0; var recomputed = 0
-
-    for (chunkId <- c0 to c1) {
-      tree.chunks.get(chunkId) match {
-        case None => () // no data in this period
-        case Some(cc) =>
-          val fullyCovered = w0 <= tree.chunkStart(chunkId) && tree.chunkEnd(chunkId) <= w1
-          if (fullyCovered) {
-            perChunk += ((chunkId, cc.subChunks)); reused += 1
-          } else {
-            val lo = math.max(w0, tree.chunkStart(chunkId))
-            val hi = math.min(w1, tree.chunkEnd(chunkId))
-            // Stored votes are reused; only samples outside W are dropped.
-            val clipped = tree.loadChunk(chunkId).flatMap(_.clip(lo, hi))
-            perChunk += ((chunkId, tree.clusterSeries(chunkId, clipped))); recomputed += 1
-          }
-      }
+    val parent = Array.tabulate(reps.length)(identity)
+    def find(i: Int): Int = if (parent(i) == i) i else find(parent(i))
+    def union(ra: Int, rb: Int): Unit = parent(math.max(ra, rb)) = math.min(ra, rb)
+    for (((ca, as), (cb, bs)) <- ranges.zip(ranges.drop(1)) if cb == ca + 1; border = tree.chunkEnd(ca);
+         i <- as if border - reps(i).tEnd <= p.maxGap; j <- bs if reps(j).tStart - border <= p.maxGap) {
+      val (dx, dy) = (reps(i).xs.last - reps(j).xs.head, reps(i).ys.last - reps(j).ys.head)
+      if (math.sqrt(dx * dx + dy * dy) <= p.eps) union(find(i), find(j))
     }
 
-    // Merge step: union-find over chunk-level clusters keyed by
-    // (chunkId, subChunkId, repIdx).
-    val (clusters, outliers) = {
-      type Key = (Long, Int, Int)
-      val parent = mutable.Map.empty[Key, Key]
-      def find(k: Key): Key = { val p0 = parent.getOrElse(k, k); if (p0 == k) k else { val r = find(p0); parent(k) = r; r } }
-      def union(a: Key, b: Key): Unit = { val ra = find(a); val rb = find(b); if (ra != rb) parent(ra) = rb }
-
-      val repOf = mutable.Map.empty[Key, SubTraj]
-      val membersOf = mutable.Map.empty[Key, Int]
-      val allOutliers = mutable.ArrayBuffer.empty[Assignment]
-      for ((chunkId, scs) <- perChunk; sc <- scs) {
-        sc.reps.zipWithIndex.foreach { case (r, i) => repOf(((chunkId, sc.subChunkId, i))) = r }
-        val counts = sc.assignments.filter(_.clusterId != Assignment.Outlier)
-          .groupBy(_.clusterId).map { case (c, as) => c -> as.length }
-        sc.reps.indices.foreach(i => membersOf(((chunkId, sc.subChunkId, i))) = counts.getOrElse(i, 0))
-        allOutliers ++= sc.assignments.filter(_.clusterId == Assignment.Outlier)
-      }
-
-      // Try to merge clusters of chunk c with clusters of chunk c+1 whose
-      // representatives meet at the shared border.
-      val byChunk = perChunk.toMap
-      for (chunkId <- c0 until c1; scsA <- byChunk.get(chunkId); scsB <- byChunk.get(chunkId + 1)) {
-        val border = tree.chunkEnd(chunkId)
-        for {
-          scA <- scsA; (rA, iA) <- scA.reps.zipWithIndex
-          if border - rA.tEnd <= p.maxGap
-          scB <- scsB; (rB, iB) <- scB.reps.zipWithIndex
-          if rB.tStart - border <= p.maxGap
-        } {
-          val dx = rA.xs.last - rB.xs.head
-          val dy = rA.ys.last - rB.ys.head
-          if (math.sqrt(dx * dx + dy * dy) <= p.eps)
-            union((chunkId, scA.subChunkId, iA), (chunkId + 1, scB.subChunkId, iB))
-        }
-      }
-
-      val groups = repOf.keys.toSeq.groupBy(find)
-      val clusters = groups.toSeq
-        .sortBy { case (_, ks) => ks.min }
-        .zipWithIndex
-        .map { case ((_, ks), id) =>
-          val sortedKs = ks.sorted
-          Cluster(id, sortedKs.map(repOf).toArray, sortedKs.map(membersOf).sum)
-        }
-        .toArray
-      (clusters, allOutliers.toArray)
+    val clusters = reps.indices.groupBy(find).toArray.sortBy(_._1).zipWithIndex.map {
+      case ((_, rows), id) => Cluster(id, rows.map(reps).toArray, rows.map(members).sum)
     }
-
-    Result(clusters, outliers, reused, recomputed)
+    Result(clusters, outliers.toArray, reused, ranges.length - reused)
   }
 }

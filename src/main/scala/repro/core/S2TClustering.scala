@@ -58,8 +58,8 @@ object S2TClustering {
         .map { case (c, as) => c -> as.length }
   }
 
-  /** Run the whole pipeline on a MOD DataFrame (obj_id, t, x, y), resampled
-    * on a common time grid. Its phases are the spans "voting" (the one Spark
+  /** Run the whole pipeline on a MOD DataFrame (obj_id, t, x, y), sampled
+    * on one common time grid. Its phases are the spans "voting" (the one Spark
     * job), "segmentation", "sampling" and "assignment" (driver time).
     */
   def run(points: DataFrame, p: Params): Result = {

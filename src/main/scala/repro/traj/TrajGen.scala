@@ -104,12 +104,14 @@ object TrajGen {
     out.result()
   }
 
-  /** Generate the MOD as a DataFrame (obj_id, t, x, y, label). */
+  /** Generate the MOD as a DataFrame (obj_id, t, x, y, label), sliced into
+    * partitions so that no task carries the whole MOD.
+    */
   def generate(spark: SparkSession, p: Params): DataFrame = {
     import spark.implicits._
-    spark.createDataset(generateLocal(p).toIndexedSeq)
+    val slices = math.max(1, math.min(64, p.nObjects / 4))
+    spark.sparkContext.parallelize(generateLocal(p).toIndexedSeq, slices)
       .toDF("obj_id", "t", "x", "y", "label")
-      .repartition(math.max(1, math.min(64, p.nObjects / 4)))
   }
 
   /** Strip the planted label — algorithms only ever see (obj_id, t, x, y). */

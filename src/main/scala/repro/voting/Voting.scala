@@ -38,7 +38,7 @@ object Voting {
     */
   private val Forward = Array((1, -1), (1, 0), (1, 1), (0, 1))
 
-  /** Distributed voting. Input: (obj_id, t, x, y) resampled on a common time
+  /** Distributed voting. Input: (obj_id, t, x, y) sampled on one common time
     * grid, at most one sample per (obj_id, t). Output: (obj_id, t, x, y,
     * vote), one row per input row (vote 0 for samples nobody is near).
     * Evaluation throws (root cause `IllegalArgumentException`) on duplicate

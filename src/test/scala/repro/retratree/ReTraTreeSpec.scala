@@ -209,6 +209,38 @@ class ReTraTreeSpec extends SparkSpec {
       "the new representative must now accommodate lane-mates (Fig. 2 cycle)")
   }
 
+  test("an aligned window counts the members that inserts appended") {
+    val t2 = ReTraTree.build(pointsDf,
+      ReTraTree.Params(tau = tau, reclusterThreshold = 5), tempDir("retratree-ins7"))
+    val cc = t2.chunks(1L)
+    val buildReps = cc.nClusters
+    for (m <- 0 until 5) {
+      val pts = (20 until 40).map(i =>
+        TrajPoint(950L + m, i * 10L, 50000.0 + i * 5.0, 50000.0 + m * 0.5)).toArray
+      t2.insertTrajectory(pts)
+    }
+    def total(r: QuTClustering.Result) = r.clusters.map(_.nMembers).sum + r.nOutliers
+    val (before, beforeBoth) = (QuTClustering.query(t2, tau, 2 * tau), QuTClustering.query(t2, 0L, 2 * tau))
+    val appendedBefore = cc.appended.length
+    // One lane-mate of a re-clustered sub-chunk, one of a build-time lane.
+    t2.insertTrajectory((20 until 40).map(i => TrajPoint(960L, i * 10L, 50000.0 + i * 5.0, 50001.5)).toArray)
+    t2.insertTrajectory(laneTrajectory(961L, 1L, 0.5))
+    val added = cc.appended.drop(appendedBefore)
+    assert(added.length == 2 && cc.pendingOutliers.isEmpty)
+    assert(added.exists(_.clusterId >= buildReps),
+      "the re-clustered lane's mate must be numbered after the build's representatives")
+
+    val after = QuTClustering.query(t2, tau, 2 * tau)
+    assert(total(after) == cc.subChunks.map(_.assignments.length).sum + cc.appended.length)
+    assert(total(after) == total(before) + added.length)
+    assert(after.nOutliers == before.nOutliers)
+    // Over chunks 0 and 1, each member lands in the cluster of the representative it matched.
+    val reps = cc.allReps
+    val afterBoth = QuTClustering.query(t2, 0L, 2 * tau)
+    assert(afterBoth.clusters.map(_.nMembers).toSeq == beforeBoth.clusters.map(c =>
+      c.nMembers + added.count(a => c.reps.exists(_ eq reps(a.clusterId)))).toSeq)
+  }
+
   test("insert of an empty trajectory is rejected") {
     intercept[IllegalArgumentException] { tree.insertTrajectory(Array.empty) }
   }
