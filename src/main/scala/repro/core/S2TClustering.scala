@@ -14,9 +14,10 @@ import repro.voting.{Segmentation, Voting}
   *  1. NaTS:  Voting  →  Segmentation
   *  2. SaCO:  Sampling  →  GreedyClustering + outlier detection
   *
-  * Only voting, the data-heavy step, runs on Spark: one job votes, then
-  * collects one voted series per object ([[Voting.votedSeries]]). The other
-  * steps run on the driver, as SaCO does in Hermes, like each ReTraTree chunk.
+  * Only voting, the data-heavy step, runs on Spark: one job votes and
+  * collects the votes, which the driver groups into one voted series per
+  * object ([[Voting.votedSeries]]). The other steps run on the driver, as
+  * SaCO does in Hermes, like each ReTraTree chunk.
   */
 object S2TClustering {
 

@@ -34,13 +34,12 @@ object Experiments {
 
   /** The standard MOD for performance runs: ~80% of objects in groups of 10. */
   def mod(spark: SparkSession, nObjects: Int, tSteps: Int, seed: Long = 42L,
-          switchFrac: Double = 0.2, groupSpan: Double = 1.0): TrajGen.Params = {
+          switchFrac: Double = 0.2): TrajGen.Params = {
     val perGroup = 10
     val nGroups = math.max(1, (nObjects * 4) / (5 * perGroup))
     TrajGen.Params(nGroups = nGroups, perGroup = perGroup,
                    nNoise = math.max(0, nObjects - nGroups * perGroup),
-                   tSteps = tSteps, dt = 10L, switchFrac = switchFrac,
-                   groupSpan = groupSpan, seed = seed)
+                   tSteps = tSteps, dt = 10L, switchFrac = switchFrac, seed = seed)
   }
 
   // --------------------------------------------------------------------- E1
@@ -155,9 +154,7 @@ object Experiments {
     }.toSeq
 
     // --- TRACLUS (spatial segments, time-blind)
-    val trajs = labeled.groupBy(_.objId).toSeq.sortBy(_._1).map { case (_, pts) =>
-      Series.fromRows(pts.map(lp => (lp.objId, lp.t, lp.x, lp.y, 0.0)))
-    }
+    val trajs = Series.byObject(labeled.map(lp => (lp.objId, lp.t, lp.x, lp.y, 0.0))).toSeq
     val ((segs, segLabels), traclusSpans) = record(Traclus.run(trajs, Traclus.Params()))
     val traclusPairs = segs.zip(segLabels).flatMap { case (seg, c) =>
       val ts = trajs.find(_.objId == seg.objId).get.ts
@@ -207,7 +204,8 @@ object Experiments {
                          tupleAtATimeMs: Long, speedup: Double)
 
   def runE4(spark: SparkSession, sizes: Seq[Int] = Seq(400, 800, 1600),
-            tSteps: Int = 120, sigma: Double = 1.5): Seq[E4Row] = {
+            tSteps: Int = 120): Seq[E4Row] = {
+    val sigma = S2TClustering.Params().sigma
     sizes.map { n =>
       val df = TrajGen.points(TrajGen.generate(spark, mod(spark, n, tSteps))).cache()
       df.count()

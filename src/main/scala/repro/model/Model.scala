@@ -1,7 +1,5 @@
 package repro.model
 
-import org.apache.spark.sql.{DataFrame, Dataset}
-
 /** Core data model for the Moving Object Database (MOD).
   *
   * A trajectory is the ordered sequence of [[TrajPoint]]s of one object; as in
@@ -77,15 +75,12 @@ object Series {
     Series(objId, s.map(_._2), s.map(_._3), s.map(_._4), s.map(_._5))
   }
 
-  /** One series per object of a DataFrame (obj_id, t, x, y, vote): the
-    * program's one grouping of samples by object.
+  /** Rows (objId, t, x, y, vote) of any objects, in any order, as one
+    * series per object in object order: the program's one grouping of
+    * samples by object.
     */
-  def byObject(rows: DataFrame): Dataset[Series] = {
-    val spark = rows.sparkSession
-    import spark.implicits._
-    rows.select("obj_id", "t", "x", "y", "vote").as[(Long, Long, Double, Double, Double)]
-      .groupByKey(_._1).mapGroups((_, it) => fromRows(it.toArray))
-  }
+  def byObject(rows: Array[(Long, Long, Double, Double, Double)]): Array[Series] =
+    rows.groupBy(_._1).valuesIterator.map(fromRows).toArray.sortBy(_.objId)
 }
 
 /** A sub-trajectory produced by the segmentation phase: a maximal run of

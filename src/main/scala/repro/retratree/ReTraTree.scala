@@ -16,8 +16,7 @@ import scala.util.Using
   * (representatives) and the assignment of every sub-trajectory to a
   * representative or to the outlier bucket.
   */
-final case class SubChunkClustering(subChunkId: Int, reps: Array[SubTraj],
-                                    assignments: Array[Assignment]) {
+final case class SubChunkClustering(reps: Array[SubTraj], assignments: Array[Assignment]) {
   def nClusters: Int = reps.length
 }
 
@@ -89,9 +88,9 @@ final class ReTraTree(val params: ReTraTree.Params, val dataDir: String) {
   def clusterSeries(chunkId: Long, series: Array[Series]): Vector[SubChunkClustering] = {
     val subs = series.flatMap(Segmentation.segmentOne(_, params.s2t.segmentation))
     subs.groupBy(s => subChunkOf(chunkId, s.tStart)).toVector.sortBy(_._1).map {
-      case (scId, scSubs) =>
+      case (_, scSubs) =>
         val (reps, assignments) = S2TClustering.localPhases(scSubs, params.s2t)
-        SubChunkClustering(scId, reps, assignments)
+        SubChunkClustering(reps, assignments)
     }
   }
 
@@ -106,7 +105,8 @@ final class ReTraTree(val params: ReTraTree.Params, val dataDir: String) {
     * in-memory level 3.
     *
     * The samples must belong to one object, have finite coordinates and
-    * distinct timestamps; otherwise the tree is left unchanged and an
+    * distinct timestamps, and repeat no (object, t) sample that an outlier
+    * partition still buffers; otherwise the tree is left unchanged and an
     * `IllegalArgumentException` is thrown.
     */
   def insertTrajectory(pts: Array[TrajPoint]): Unit = {
@@ -116,6 +116,9 @@ final class ReTraTree(val params: ReTraTree.Params, val dataDir: String) {
     val s = Series.fromRows(pts.map(p => (p.objId, p.t, p.x, p.y, 0.0)))
     require(s.ts.indices.drop(1).forall(i => s.ts(i) > s.ts(i - 1)),
       s"duplicate timestamp in the trajectory of object ${s.objId}")
+    val buffered = chunks.valuesIterator.flatMap(_.pendingOutliers).filter(_.objId == s.objId)
+      .flatMap(_.ts).find(s.ts.contains)
+    require(buffered.isEmpty, s"object ${s.objId} already has a buffered sample at t=${buffered.get}")
     for ((chunkId, piece) <- pieces(s)) {
       val cc = chunks.getOrElse(chunkId, {
         val fresh = new ChunkClustering(chunkId)
@@ -134,8 +137,7 @@ final class ReTraTree(val params: ReTraTree.Params, val dataDir: String) {
 
   /** S2T over a chunk's outlier partition: chunk-local voting (exact — votes
     * never cross chunks), then the usual phases; resulting sub-chunk
-    * clusterings are appended to level 3 and the buffer is drained back to
-    * whatever remained outlier.
+    * clusterings are appended to level 3 and the buffer is drained.
     */
   def reclusterOutliers(cc: ChunkClustering): Unit = {
     if (cc.pendingOutliers.isEmpty) return
@@ -144,13 +146,9 @@ final class ReTraTree(val params: ReTraTree.Params, val dataDir: String) {
     val votes = Voting.votesLocal(raw, params.s2t.sigma)
     val series = cc.pendingOutliers.map(vs =>
       vs.copy(votes = vs.ts.indices.map(i => votes((vs.objId, vs.ts(i)))).toArray)).toArray
-    val clusterings = clusterSeries(cc.chunkId, series)
+    // Back-propagate: the new sub-chunk clusterings follow the existing ones.
+    cc.subChunks = cc.subChunks ++ clusterSeries(cc.chunkId, series)
     cc.pendingOutliers.clear()
-    // Back-propagate: keep the new sub-chunk clusterings alongside existing
-    // ones (ids offset so they do not collide with build-time sub-chunks).
-    val offset = if (cc.subChunks.isEmpty) 0 else cc.subChunks.map(_.subChunkId).max + 1
-    val appendedScs = clusterings.map(sc => sc.copy(subChunkId = sc.subChunkId + offset))
-    cc.subChunks = cc.subChunks ++ appendedScs
   }
 }
 

@@ -92,12 +92,14 @@ object Segmentation {
   }
 
   /** [[segmentOne]] per object of a voted DataFrame (obj_id, t, x, y, vote),
-    * in the executors. No program path calls it (S2T segments on the
-    * driver); the benchmark's traced S2T run composes it.
+    * grouped by object in the executors (a shuffle by object). No program
+    * path calls it (S2T segments on the driver); the benchmark's traced S2T
+    * run composes it.
     */
   def segmentTrajectories(voted: DataFrame, p: Params): Dataset[SubTraj] = {
     val spark = voted.sparkSession
     import spark.implicits._
-    Series.byObject(voted).flatMap(segmentOne(_, p))
+    voted.select("obj_id", "t", "x", "y", "vote").as[(Long, Long, Double, Double, Double)]
+      .groupByKey(_._1).flatMapGroups((_, rows) => segmentOne(Series.fromRows(rows.toArray), p))
   }
 }

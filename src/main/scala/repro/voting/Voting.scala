@@ -58,11 +58,15 @@ object Voting {
       .toDF("obj_id", "t", "x", "y", "vote")
   }
 
-  /** [[votes]], then one series per object, collected in object order: the
-    * one Spark job of S2T-Clustering and of the ReTraTree build.
+  /** [[votes]], collected and grouped on the driver into one series per
+    * object, in object order ([[Series.byObject]]): the one Spark job, and
+    * its one shuffle, of S2T-Clustering and of the ReTraTree build.
     */
-  def votedSeries(points: DataFrame, sigma: Double): Array[Series] =
-    Series.byObject(votes(points, sigma)).collect().sortBy(_.objId)
+  def votedSeries(points: DataFrame, sigma: Double): Array[Series] = {
+    val spark = points.sparkSession
+    import spark.implicits._
+    Series.byObject(votes(points, sigma).as[(Long, Long, Double, Double, Double)].collect())
+  }
 
   /** Voting on the driver: group by t, then the same [[kernel]]. Keyed by
     * (obj_id, t); same preconditions as [[votes]].

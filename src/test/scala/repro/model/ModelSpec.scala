@@ -82,6 +82,15 @@ class ModelSpec extends AnyFunSuite {
     intercept[IllegalArgumentException] { Series.fromRows(Array.empty) }
   }
 
+  test("byObject groups interleaved rows into one sorted series per object, in object order") {
+    val a = series(objId = 7L)
+    val b = series(objId = 2L, ts = Array(5L, 15L), xs = Array(1.0, 2.0), ys = Array(3.0, 4.0),
+                   votes = Array(0.5, 0.6))
+    val got = Series.byObject(new scala.util.Random(5).shuffle(rows(a) ++ rows(b)).toArray)
+    assert(got.map(rows).toSeq == Seq(rows(b), rows(a)))
+    assert(Series.byObject(Array.empty).isEmpty)
+  }
+
   test("clip keeps exactly the samples with lo <= t < hi") {
     val s = series(ts = Array(0L, 10L, 20L, 30L, 40L), xs = Array(0.0, 1.0, 2.0, 3.0, 4.0),
                    ys = Array(0.0, 0.0, 0.0, 0.0, 0.0), votes = Array(0.1, 0.2, 0.3, 0.4, 0.5))

@@ -249,11 +249,11 @@ class ReTraTreeSpec extends SparkSpec {
   private def state(t: ReTraTree) = t.chunks.map { case (c, cc) =>
     c -> ((cc.subChunks, cc.appended.toList, cc.pendingOutliers.toList)) }
 
-  private def assertRejected(pts: Array[TrajPoint], reason: String): Unit = {
-    val before = state(tree)
-    val e = intercept[IllegalArgumentException] { tree.insertTrajectory(pts) }
+  private def assertRejected(pts: Array[TrajPoint], reason: String, t: ReTraTree = tree): Unit = {
+    val before = state(t)
+    val e = intercept[IllegalArgumentException] { t.insertTrajectory(pts) }
     assert(e.getMessage.contains(reason), e.getMessage)
-    assert(state(tree) == before, "a rejected insert must leave the tree unchanged")
+    assert(state(t) == before, "a rejected insert must leave the tree unchanged")
   }
 
   test("insert of samples from several objects is rejected") {
@@ -270,6 +270,22 @@ class ReTraTreeSpec extends SparkSpec {
   test("insert of duplicate timestamps is rejected") {
     val pts = (0 until 20).map(i => TrajPoint(942L, i * 10L, i.toDouble, 0.0)).toArray
     assertRejected(pts :+ TrajPoint(942L, 50L, 1.0, 1.0), "duplicate timestamp")
+  }
+
+  test("re-inserting a buffered sample is rejected, and later inserts still drain the buffer") {
+    val t2 = ReTraTree.build(pointsDf,
+      ReTraTree.Params(tau = tau, reclusterThreshold = 3), tempDir("retratree-ins8"))
+    val cc = t2.chunks(0L)
+    val subChunksBefore = cc.subChunks.length
+    def far(objId: Long) = (0 until 20).map(i =>
+      TrajPoint(objId, i * 10L, 50000.0 + i * 5.0, 50000.0 + (objId - 970L) * 0.5)).toArray
+    t2.insertTrajectory(far(970L))
+    assertRejected(far(970L).drop(10), "object 970 already has a buffered sample at t=100", t2)
+    t2.insertTrajectory(far(971L))
+    assert(cc.pendingOutliers.length == 2)
+    t2.insertTrajectory(far(972L))
+    assert(cc.pendingOutliers.isEmpty, "the third valid insert must re-cluster the buffer")
+    assert(cc.subChunks.length > subChunksBefore)
   }
 
   test("an insert at t < 0 lands in the floor-division chunk, as in build and QuT") {

@@ -104,6 +104,17 @@ class VotingSpec extends SparkSpec {
     }
   }
 
+  test("votedSeries starts only the jobs of collecting the votes") {
+    val p = TrajGen.Params(nGroups = 2, perGroup = 5, nNoise = 3, tSteps = 20, seed = 5L)
+    val pts = TrajGen.points(TrajGen.generate(spark, p)).cache()
+    try {
+      pts.count() // the input's own cache is not voting's
+      val collect = jobsDuring(Voting.votes(pts, 1.5).collect())
+      assert(collect >= 1)
+      assert(jobsDuring(Voting.votedSeries(pts, 1.5)) == collect)
+    } finally pts.unpersist()
+  }
+
   test("votesLocal is symmetric in contribution for a pair") {
     val pts = Array(TrajPoint(1, 0, 0, 0), TrajPoint(2, 0, 2, 0))
     val v = Voting.votesLocal(pts, sigma = 1.5)
