@@ -9,54 +9,47 @@ import repro.exp.Experiments
   * object counts.
   */
 object JobUtil {
-  def session(name: String): SparkSession =
-    SparkSession.builder
+  /** Opens the session `name`, prints the table that `table` renders with it,
+    * and stops the session, also when `table` throws.
+    */
+  def run(name: String)(table: SparkSession => String): Unit = {
+    val spark = SparkSession.builder
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(name)
       .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
       .getOrCreate()
+    try println(table(spark)) finally spark.stop()
+  }
 }
 
 /** E1 — S2T-Clustering runtime breakdown vs. MOD size. */
 object E1S2TScaling {
-  def main(args: Array[String]): Unit = {
-    val spark = JobUtil.session("E1S2TScaling")
-    val rows =
-      if (args.nonEmpty) Experiments.runE1(spark, args.map(_.toInt).toSeq) else Experiments.runE1(spark)
-    println(Experiments.formatE1(rows))
-    spark.stop()
+  def main(args: Array[String]): Unit = JobUtil.run("E1S2TScaling") { spark =>
+    Experiments.formatE1(
+      if (args.nonEmpty) Experiments.runE1(spark, args.map(_.toInt).toSeq) else Experiments.runE1(spark))
   }
 }
 
 /** E2 — QuT-Clustering vs. range-query+R-tree+S2T for varying W. */
 object E2QuT {
-  def main(args: Array[String]): Unit = {
-    val spark = JobUtil.session("E2QuT")
-    val result =
-      if (args.nonEmpty) Experiments.runE2(spark, args(0).toInt) else Experiments.runE2(spark)
-    println(Experiments.formatE2(result))
-    spark.stop()
+  def main(args: Array[String]): Unit = JobUtil.run("E2QuT") { spark =>
+    Experiments.formatE2(
+      if (args.nonEmpty) Experiments.runE2(spark, args(0).toInt) else Experiments.runE2(spark))
   }
 }
 
 /** E3 — quality vs. TRACLUS, T-OPTICS and Convoys on planted groups. */
 object E3Quality {
-  def main(args: Array[String]): Unit = {
-    val spark = JobUtil.session("E3Quality")
-    val rows =
-      if (args.nonEmpty) Experiments.runE3(spark, args(0).toInt) else Experiments.runE3(spark)
-    println(Experiments.formatE3(rows))
-    spark.stop()
+  def main(args: Array[String]): Unit = JobUtil.run("E3Quality") { spark =>
+    Experiments.formatE3(
+      if (args.nonEmpty) Experiments.runE3(spark, args(0).toInt) else Experiments.runE3(spark))
   }
 }
 
 /** E4 — set-based vs. tuple-at-a-time voting ("orders of magnitude" claim). */
 object E4InDbms {
-  def main(args: Array[String]): Unit = {
-    val spark = JobUtil.session("E4InDbms")
-    val rows =
-      if (args.nonEmpty) Experiments.runE4(spark, args.map(_.toInt).toSeq) else Experiments.runE4(spark)
-    println(Experiments.formatE4(rows))
-    spark.stop()
+  def main(args: Array[String]): Unit = JobUtil.run("E4InDbms") { spark =>
+    Experiments.formatE4(
+      if (args.nonEmpty) Experiments.runE4(spark, args.map(_.toInt).toSeq) else Experiments.runE4(spark))
   }
 }

@@ -43,8 +43,8 @@ object QuTClustering {
     val outliers = ArrayBuffer.empty[Assignment]
     val ranges = ArrayBuffer.empty[(Long, Range)] // (chunk id, its rows)
     var reused = 0
-    for (c <- math.floorDiv(w0, tree.params.tau) to math.floorDiv(w1 - 1, tree.params.tau);
-         cc <- tree.chunks.get(c)) {
+    val tau = tree.params.tau
+    for ((c, cc) <- tree.chunks.range(math.floorDiv(w0, tau), math.floorDiv(w1 - 1, tau) + 1)) {
       val (lo, hi) = (tree.chunkStart(c), tree.chunkEnd(c))
       val fullyCovered = w0 <= lo && hi <= w1
       val subChunks =

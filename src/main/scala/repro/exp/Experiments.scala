@@ -148,17 +148,17 @@ object Experiments {
     // --- S2T (sub-trajectory level)
     val (s2t, s2tSpans) = record(S2TClustering.run(df, S2TClustering.Params(maxReps = 128)))
     val subByKey = s2t.subs.map(s => (s.objId, s.subId) -> s).toMap
-    val s2tPairs = s2t.assignments.flatMap { a =>
-      val s = subByKey((a.objId, a.subId))
-      s.ts.map(t => truth((a.objId, t)) -> a.clusterId)
-    }.toSeq
+    val s2tPairs = s2t.assignments.flatMap(a =>
+      subByKey((a.objId, a.subId)).ts.map(t => truth((a.objId, t)) -> a.clusterId)).toSeq
 
     // --- TRACLUS (spatial segments, time-blind)
     val trajs = Series.byObject(labeled.map(lp => (lp.objId, lp.t, lp.x, lp.y, 0.0))).toSeq
     val ((segs, segLabels), traclusSpans) = record(Traclus.run(trajs, Traclus.Params()))
+    val tsOf = trajs.map(s => s.objId -> s.ts).toMap
     val traclusPairs = segs.zip(segLabels).flatMap { case (seg, c) =>
-      val ts = trajs.find(_.objId == seg.objId).get.ts
-      (seg.i0 until seg.i1).map(i => truth((seg.objId, ts(i))) -> c)
+      val ts = tsOf(seg.objId) // consecutive segments share an end sample: the last one keeps it
+      val end = if (seg.i1 == ts.length - 1) ts.length else seg.i1
+      (seg.i0 until end).map(i => truth((seg.objId, ts(i))) -> c)
     }.toSeq
 
     // --- T-OPTICS (whole trajectories)
@@ -175,12 +175,13 @@ object Experiments {
     for ((c, i) <- convoys.sortBy(-_.objIds.size).zipWithIndex; o <- c.objIds;
          lp <- labeled if lp.objId == o && lp.t >= c.tStart && lp.t <= c.tEnd)
       convoyLabelOf.getOrElseUpdate((o, lp.t), i)
-    val convoyPairs = labeled.map(lp =>
-      lp.label -> convoyLabelOf.getOrElse((lp.objId, lp.t), -1)).toSeq
+    val convoyPairs = labeled.map(lp => lp.label -> convoyLabelOf.getOrElse((lp.objId, lp.t), -1)).toSeq
 
     df.unpersist()
-    def row(m: String, pairs: Seq[(Int, Int)], k: Int, ms: Long) =
+    def row(m: String, pairs: Seq[(Int, Int)], k: Int, ms: Long) = {
+      require(pairs.length == labeled.length, s"$m scored ${pairs.length} of ${labeled.length} samples")
       E3Row(m, Quality.ari(pairs), Quality.purity(pairs), Quality.groupRecall(pairs), k, ms)
+    }
     Seq(
       row("S2T-Clustering", s2tPairs, s2t.nClusters, s2tSpans.totalMs),
       row("TRACLUS", traclusPairs, segLabels.filter(_ >= 0).distinct.length, traclusSpans.totalMs),

@@ -91,15 +91,15 @@ object Segmentation {
     out.result()
   }
 
-  /** [[segmentOne]] per object of a voted DataFrame (obj_id, t, x, y, vote),
-    * grouped by object in the executors (a shuffle by object). No program
-    * path calls it (S2T segments on the driver); the benchmark's traced S2T
-    * run composes it.
+  /** [[segmentOne]] per object of a voted DataFrame (obj_id, t, x, y, vote), after one
+    * shuffle by object and [[Series.byObject]] per partition. No program path calls it
+    * (S2T segments on the driver); the benchmark's traced S2T run composes it.
     */
   def segmentTrajectories(voted: DataFrame, p: Params): Dataset[SubTraj] = {
     val spark = voted.sparkSession
     import spark.implicits._
-    voted.select("obj_id", "t", "x", "y", "vote").as[(Long, Long, Double, Double, Double)]
-      .groupByKey(_._1).flatMapGroups((_, rows) => segmentOne(Series.fromRows(rows.toArray), p))
+    voted.select($"obj_id", $"t", $"x", $"y", $"vote").repartition($"obj_id")
+      .as[(Long, Long, Double, Double, Double)]
+      .mapPartitions(rows => Series.byObject(rows.toArray).iterator.flatMap(segmentOne(_, p)))
   }
 }

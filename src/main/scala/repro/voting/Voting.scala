@@ -14,14 +14,13 @@ import repro.model.{Series, TrajPoint}
   * representativeness signal the segmentation phase then homogenizes; its
   * physical meaning is "how many objects co-move with r at time t".
   *
-  * A vote at time t involves only the objects alive at t, so voting is
-  * time-partitioned: [[votes]] shuffles the points once, grouped by t, and
-  * runs [[kernel]] on each timestamp's set; [[votesLocal]] groups by t on the
-  * driver and runs the same kernel. The kernel hashes one timestamp's points
-  * into a grid of 3σ cells and visits each unordered pair within a cell and
-  * its forward neighbours once. This is the set-at-a-time, spatially indexed
-  * formulation whose speedup over tuple-at-a-time evaluation the demo claims
-  * (see `repro.baselines.NaiveVoting` for the comparator).
+  * A vote at time t involves only the objects alive at t, so one routine,
+  * [[byTimestamp]], votes: it groups rows by t and runs [[kernel]], a grid of
+  * 3σ cells over one timestamp's points, once per t. [[votesLocal]] runs it on
+  * the driver; [[votes]] runs it on each partition of one shuffle by t. This
+  * is the set-at-a-time, spatially indexed formulation whose speedup over
+  * tuple-at-a-time evaluation the demo claims (see
+  * `repro.baselines.NaiveVoting` for the comparator).
   */
 object Voting {
 
@@ -42,20 +41,16 @@ object Voting {
     * grid, at most one sample per (obj_id, t). Output: (obj_id, t, x, y,
     * vote), one row per input row (vote 0 for samples nobody is near).
     * Evaluation throws (root cause `IllegalArgumentException`) on duplicate
-    * (obj_id, t) samples and on non-finite x or y.
+    * (obj_id, t) samples and on non-finite x or y. Each partition of the one
+    * shuffle by t is held in memory while grouped, about points divided by
+    * `spark.sql.shuffle.partitions` rows: 3k for E4's 192k points over 64.
     */
   def votes(points: DataFrame, sigma: Double): DataFrame = {
     require(sigma > 0, s"sigma must be positive, got $sigma")
     val spark = points.sparkSession
     import spark.implicits._
-    points.select($"obj_id", $"t", $"x", $"y").as[(Long, Long, Double, Double)]
-      .groupByKey(_._2)
-      .flatMapGroups { (t: Long, rows: Iterator[(Long, Long, Double, Double)]) =>
-        val pts = rows.toArray
-        val v = kernel(t, pts.map(_._1), pts.map(_._3), pts.map(_._4), sigma)
-        pts.indices.iterator.map(i => (pts(i)._1, t, pts(i)._3, pts(i)._4, v(i)))
-      }
-      .toDF("obj_id", "t", "x", "y", "vote")
+    points.select($"obj_id", $"t", $"x", $"y").repartition($"t").as[(Long, Long, Double, Double)]
+      .mapPartitions(byTimestamp(_, sigma)).toDF("obj_id", "t", "x", "y", "vote")
   }
 
   /** [[votes]], collected and grouped on the driver into one series per
@@ -68,14 +63,19 @@ object Voting {
     Series.byObject(votes(points, sigma).as[(Long, Long, Double, Double, Double)].collect())
   }
 
-  /** Voting on the driver: group by t, then the same [[kernel]]. Keyed by
+  /** Voting on the driver: [[byTimestamp]] over all the points. Keyed by
     * (obj_id, t); same preconditions as [[votes]].
     */
   def votesLocal(points: Array[TrajPoint], sigma: Double): Map[(Long, Long), Double] =
-    points.groupBy(_.t).iterator.flatMap { case (t, pts) =>
-      val v = kernel(t, pts.map(_.objId), pts.map(_.x), pts.map(_.y), sigma)
-      pts.indices.iterator.map(i => (pts(i).objId, t) -> v(i))
-    }.toMap
+    byTimestamp(points.iterator.map(p => (p.objId, p.t, p.x, p.y)), sigma)
+      .map(r => (r._1, r._2) -> r._5).toMap
+
+  /** The one voting routine: rows (obj_id, t, x, y), grouped by t, [[kernel]] once per t. */
+  private def byTimestamp(rows: Iterator[(Long, Long, Double, Double)], sigma: Double) =
+    rows.toArray.groupBy(_._2).iterator.flatMap { case (t, pts) =>
+      val v = kernel(t, pts.map(_._1), pts.map(_._3), pts.map(_._4), sigma)
+      pts.indices.iterator.map(i => (pts(i)._1, t, pts(i)._3, pts(i)._4, v(i)))
+    }
 
   /** The votes of one timestamp's samples: `objs(i)` at (`xs(i)`, `ys(i)`),
     * all at time `t` (used only in error messages). Returns the votes aligned
@@ -84,9 +84,8 @@ object Voting {
     * Points are hashed into cells of side (just over) 3σ; each unordered pair
     * within a cell, or between a cell and one of its [[Forward]] neighbours,
     * is visited once, and a pair with `d² ≤ (3σ)²` adds `exp(-d²/2σ²)` to
-    * both ends.
-    * Duplicate objects are rejected up front, so every visited pair is a pair
-    * of different objects.
+    * both ends. Duplicate objects are rejected up front, so every visited
+    * pair is a pair of different objects.
     */
   def kernel(t: Long, objs: Array[Long], xs: Array[Double], ys: Array[Double],
              sigma: Double): Array[Double] = {

@@ -26,6 +26,15 @@ class QuTClusteringSpec extends SparkSpec {
     assert(r.nReusedChunks == 4 && r.nRecomputedChunks == 0)
   }
 
+  test("a window over more chunk ids than an Int counts equals the full horizon") {
+    def digest(r: QuTClustering.Result) = (
+      r.clusters.map(c => (c.id, c.nMembers, c.reps.map(s => (s.key, s.ts.toSeq, s.xs.toSeq)).toSeq)).toSeq,
+      r.outliers.toSeq, r.nReusedChunks, r.nRecomputedChunks)
+    val wide = QuTClustering.query(tree, -Long.MaxValue / 2, Long.MaxValue / 2)
+    assert(wide.nReusedChunks == 4)
+    assert(digest(wide) == digest(QuTClustering.query(tree, 0L, 800L)))
+  }
+
   test("an unaligned window recomputes only the boundary chunks") {
     val r = QuTClustering.query(tree, 100L, 700L)
     assert(r.nReusedChunks == 2, "chunks 1 and 2 are fully covered")

@@ -264,6 +264,26 @@ class VotingSpec extends SparkSpec {
     }
   }
 
+  test("votes do not depend on the number of shuffle partitions") {
+    val p = TrajGen.Params(nGroups = 2, perGroup = 5, nNoise = 3, tSteps = 20, seed = 5L)
+    val generated = TrajGen.generateLocal(p).map(lp => TrajPoint(lp.objId, lp.t, lp.x, lp.y))
+    val mods = (generated, 1.5) +: (1 to 6).map(randomMod(_).swap)
+    val key = "spark.sql.shuffle.partitions"
+    val saved = spark.conf.get(key)
+    try for (n <- Seq("1", "3", "64")) {
+      spark.conf.set(key, n)
+      for ((pts, sigma) <- mods) {
+        val local = Voting.votesLocal(pts, sigma)
+        val got = Voting.votes(df(pts.toSeq), sigma).collect()
+        assert(got.length == pts.length, s"$n partitions")
+        got.foreach { r =>
+          val k = (r.getAs[Long]("obj_id"), r.getAs[Long]("t"))
+          assert(math.abs(r.getAs[Double]("vote") - local(k)) <= 1e-9, s"$n partitions, at $k")
+        }
+      }
+    } finally spark.conf.set(key, saved)
+  }
+
   test("votes keeps exactly the input's (obj_id, t) rows, extra columns dropped") {
     import spark.implicits._
     val p = TrajGen.Params(nGroups = 2, perGroup = 3, nNoise = 2, tSteps = 12, seed = 4L)
