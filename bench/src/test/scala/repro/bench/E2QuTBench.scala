@@ -59,7 +59,7 @@ class E2QuTBench extends SparkSpec {
   }
 
   test("E2 sanity: one-time build cost is reported") {
-    assert(result.buildStats.nChunks == 8)
-    assert(result.buildStats.totalMs > 0)
+    assert(result.nChunks == 8)
+    assert(result.build.totalMs > 0)
   }
 }

@@ -32,7 +32,7 @@ object TOptics {
       d(i)(j) = v; d(j)(i) = v
     }
 
-    def coreDist(i: Int): Double = {
+    val coreDist = Array.tabulate(n) { i =>
       val ds = (0 until n).filter(_ != i).map(d(i)(_)).sorted
       if (ds.length < p.minPts) Double.PositiveInfinity else ds(p.minPts - 1)
     }

@@ -31,7 +31,7 @@ object S2TClustering {
       maxGap: Long = 60L,
       eps: Double = 10.0,
       minOverlapFrac: Double = 0.5,
-      maxReps: Int = 64,
+      maxReps: Int = 128,
       minAvgVote: Double = 1.0
   ) {
     require(sigma > 0, s"sigma must be positive, got $sigma")
@@ -53,10 +53,6 @@ object S2TClustering {
                           assignments: Array[Assignment]) {
     def nClusters: Int = reps.length
     def outliers: Array[Assignment] = assignments.filter(_.clusterId == Assignment.Outlier)
-    /** Members per cluster id (clusters may be empty of non-rep members). */
-    def clusterSizes: Map[Int, Int] =
-      assignments.filter(_.clusterId != Assignment.Outlier).groupBy(_.clusterId)
-        .map { case (c, as) => c -> as.length }
   }
 
   /** Run the whole pipeline on a MOD DataFrame (obj_id, t, x, y), sampled

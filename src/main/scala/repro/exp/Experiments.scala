@@ -1,6 +1,6 @@
 package repro.exp
 
-import org.apache.spark.sql.SparkSession
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions.sum
 import repro.Timing.{Spans, record}
 import repro.baselines.{Convoys, NaiveVoting, RangeQueryS2T, TOptics, Traclus}
@@ -12,7 +12,6 @@ import repro.traj.TrajGen
 import repro.voting.Voting
 
 import java.nio.file.Files
-import scala.collection.mutable
 
 /** The reconstructed evaluation of the demo paper (see DESIGN.md — the demo
   * has no numbered tables; E1–E4 materialize its two scenarios and its
@@ -42,6 +41,14 @@ object Experiments {
                    tSteps = tSteps, dt = 10L, switchFrac = switchFrac, seed = seed)
   }
 
+  /** Generate the MOD of `p`, cache it, and run `body` on it and its point
+    * count; the cache is dropped however `body` ends.
+    */
+  private def withMod[A](spark: SparkSession, p: TrajGen.Params)(body: (DataFrame, Long) => A): A = {
+    val df = TrajGen.points(TrajGen.generate(spark, p)).cache()
+    try body(df, df.count()) finally df.unpersist()
+  }
+
   // --------------------------------------------------------------------- E1
 
   /** E1 — S2T-Clustering runtime breakdown and scaling with MOD size. */
@@ -53,15 +60,13 @@ object Experiments {
             sizes: Seq[Int] = Seq(100, 200, 400, 800),
             tSteps: Int = 180): Seq[E1Row] = {
     // One untimed run first, so that JIT and Spark warm-up stay out of the first row.
-    S2TClustering.run(TrajGen.points(TrajGen.generate(spark, mod(spark, sizes.head, tSteps))),
-                      S2TClustering.Params(maxReps = 128))
+    withMod(spark, mod(spark, sizes.head, tSteps))((df, _) => S2TClustering.run(df, S2TClustering.Params()))
     sizes.map { n =>
-      val df = TrajGen.points(TrajGen.generate(spark, mod(spark, n, tSteps))).cache()
-      val nPoints = df.count()
-      val (r, s) = record(S2TClustering.run(df, S2TClustering.Params(maxReps = 128)))
-      df.unpersist()
-      E1Row(n, nPoints, s.ms("voting"), s.ms("segmentation"), s.ms("sampling"),
-            s.ms("assignment"), s.ms.values.sum, r.subs.length, r.nClusters, r.outliers.length)
+      withMod(spark, mod(spark, n, tSteps)) { (df, nPoints) =>
+        val (r, s) = record(S2TClustering.run(df, S2TClustering.Params()))
+        E1Row(n, nPoints, s.ms("voting"), s.ms("segmentation"), s.ms("sampling"),
+              s.ms("assignment"), s.ms.values.sum, r.subs.length, r.nClusters, r.outliers.length)
+      }
     }
   }
 
@@ -80,48 +85,44 @@ object Experiments {
                          qutClusters: Int, baselineClusters: Int,
                          reusedChunks: Int, recomputedChunks: Int)
 
-  /** The build's one-time cost: its spans "voting", "write" and "cluster". */
-  final case class E2Build(spans: Spans, nChunks: Int) { def totalMs: Long = spans.totalMs }
-
-  final case class E2Result(buildStats: E2Build, rows: Seq[E2Row])
+  /** `build` is the build's one-time cost: its spans "voting", "write" and "cluster". */
+  final case class E2Result(build: Spans, nChunks: Int, rows: Seq[E2Row])
 
   def runE2(spark: SparkSession, nObjects: Int = 200, nChunks: Int = 8,
             stepsPerChunk: Int = 60): E2Result = {
     val tau = stepsPerChunk * 10L
-    val p = mod(spark, nObjects, nChunks * stepsPerChunk)
-    val df = TrajGen.points(TrajGen.generate(spark, p)).cache()
-    df.count()
-    val dir = Files.createTempDirectory("retratree")
-    val s2tParams = S2TClustering.Params(maxReps = 128)
-    try {
-      val (tree, built) = record(ReTraTree.build(
-        df, ReTraTree.Params(tau = tau, s2t = s2tParams), dir.toString))
+    withMod(spark, mod(spark, nObjects, nChunks * stepsPerChunk)) { (df, _) =>
+      val dir = Files.createTempDirectory("retratree")
+      val s2tParams = S2TClustering.Params()
+      try {
+        val (tree, built) = record(ReTraTree.build(
+          df, ReTraTree.Params(tau = tau, s2t = s2tParams), dir.toString))
 
-      val windows: Seq[(Double, Boolean, Long, Long)] =
-        Seq(1, 2, 4, 8).map(k => (k.toDouble, true, 0L, k * tau)) ++
-        Seq(1, 2, 4).map(k => (k + 0.0, false, tau / 2, tau / 2 + k * tau))
+        val windows: Seq[(Double, Boolean, Long, Long)] =
+          Seq(1, 2, 4, 8).map(k => (k.toDouble, true, 0L, k * tau)) ++
+          Seq(1, 2, 4).map(k => (k + 0.0, false, tau / 2, tau / 2 + k * tau))
 
-      // Both sides are timed the same way: wall clock around the call.
-      val rows = windows.map { case (wChunks, aligned, w0, w1) =>
-        val (qut, q) = record(QuTClustering.query(tree, w0, w1))
-        val (base, b) = record(RangeQueryS2T.query(df, w0, w1, s2tParams))
-        E2Row(wChunks, aligned, q.totalMs, b.totalMs,
-              b.totalMs.toDouble / math.max(1L, q.totalMs),
-              qut.nClusters, base.s2t.nClusters,
-              qut.nReusedChunks, qut.nRecomputedChunks)
+        // Both sides are timed the same way: wall clock around the call.
+        val rows = windows.map { case (wChunks, aligned, w0, w1) =>
+          val (qut, q) = record(QuTClustering.query(tree, w0, w1))
+          val (base, b) = record(RangeQueryS2T.query(df, w0, w1, s2tParams))
+          E2Row(wChunks, aligned, q.totalMs, b.totalMs,
+                b.totalMs.toDouble / math.max(1L, q.totalMs),
+                qut.nClusters, base.s2t.nClusters,
+                qut.nReusedChunks, qut.nRecomputedChunks)
+        }
+        E2Result(built, tree.chunks.size, rows)
+      } finally {
+        dir.toFile.listFiles.foreach(f => Files.delete(f.toPath)) // the tree's flat level 4
+        Files.delete(dir)
       }
-      E2Result(E2Build(built, tree.chunks.size), rows)
-    } finally {
-      df.unpersist()
-      dir.toFile.listFiles.foreach(f => Files.delete(f.toPath)) // the tree's flat level 4
-      Files.delete(dir)
     }
   }
 
   def formatE2(r: E2Result): String = {
-    val b = r.buildStats.spans.ms
+    val b = r.build.ms
     val head = s"ReTraTree build (one-time): voting ${b("voting")} ms, " +
-      s"write ${b("write")} ms, cluster ${b("cluster")} ms, ${r.buildStats.nChunks} chunks\n"
+      s"write ${b("write")} ms, cluster ${b("cluster")} ms, ${r.nChunks} chunks\n"
     head + format(
       Seq("|W| (chunks)", "aligned", "QuT ms", "RQ+S2T ms", "speedup",
           "QuT clusters", "base clusters", "reused", "recomputed"),
@@ -141,53 +142,49 @@ object Experiments {
             switchFrac: Double = 0.5): Seq[E3Row] = {
     val p = mod(spark, nObjects, tSteps, switchFrac = switchFrac)
     val labeled = TrajGen.generateLocal(p)
-    val truth: Map[(Long, Long), Int] = labeled.map(lp => (lp.objId, lp.t) -> lp.label).toMap
-    val df = TrajGen.points(TrajGen.generate(spark, p)).cache()
-    df.count()
+    val trajs = Series.byObject(labeled.map(lp => (lp.objId, lp.t, lp.x, lp.y, 0.0)))
 
-    // --- S2T (sub-trajectory level)
-    val (s2t, s2tSpans) = record(S2TClustering.run(df, S2TClustering.Params(maxReps = 128)))
-    val subByKey = s2t.subs.map(s => (s.objId, s.subId) -> s).toMap
-    val s2tPairs = s2t.assignments.flatMap(a =>
-      subByKey((a.objId, a.subId)).ts.map(t => truth((a.objId, t)) -> a.clusterId)).toSeq
-
-    // --- TRACLUS (spatial segments, time-blind)
-    val trajs = Series.byObject(labeled.map(lp => (lp.objId, lp.t, lp.x, lp.y, 0.0))).toSeq
-    val ((segs, segLabels), traclusSpans) = record(Traclus.run(trajs, Traclus.Params()))
-    val tsOf = trajs.map(s => s.objId -> s.ts).toMap
-    val traclusPairs = segs.zip(segLabels).flatMap { case (seg, c) =>
-      val ts = tsOf(seg.objId) // consecutive segments share an end sample: the last one keeps it
-      val end = if (seg.i1 == ts.length - 1) ts.length else seg.i1
-      (seg.i0 until end).map(i => truth((seg.objId, ts(i))) -> c)
-    }.toSeq
-
-    // --- T-OPTICS (whole trajectories)
-    val (toLabels, topticsSpans) = record(TOptics.run(trajs.toArray, TOptics.Params()))
-    val topticsPairs = trajs.zip(toLabels).flatMap { case (s, c) =>
-      s.ts.map(t => truth((s.objId, t)) -> c)
-    }.toSeq
-
-    // --- Convoys (co-movement pattern family, scenario 1's fourth method)
-    val rawPts = labeled.map(lp => TrajPoint(lp.objId, lp.t, lp.x, lp.y))
-    val (convoys, convoySpans) = record(
-      Convoys.run(rawPts, Convoys.Params(eps = 8.0, minObjs = 4, minDuration = 6)))
-    val convoyLabelOf = mutable.Map.empty[(Long, Long), Int]
-    for ((c, i) <- convoys.sortBy(-_.objIds.size).zipWithIndex; o <- c.objIds;
-         lp <- labeled if lp.objId == o && lp.t >= c.tStart && lp.t <= c.tEnd)
-      convoyLabelOf.getOrElseUpdate((o, lp.t), i)
-    val convoyPairs = labeled.map(lp => lp.label -> convoyLabelOf.getOrElse((lp.objId, lp.t), -1)).toSeq
-
-    df.unpersist()
-    def row(m: String, pairs: Seq[(Int, Int)], k: Int, ms: Long) = {
-      require(pairs.length == labeled.length, s"$m scored ${pairs.length} of ${labeled.length} samples")
-      E3Row(m, Quality.ari(pairs), Quality.purity(pairs), Quality.groupRecall(pairs), k, ms)
+    /** One method's row: every planted sample paired with the cluster that
+      * `labelOf` gives its (obj_id, t).
+      */
+    def row(method: String, nClusters: Int, spans: Spans, labelOf: Map[(Long, Long), Int]): E3Row = {
+      val pairs = labeled.toSeq.map(lp => lp.label -> labelOf.getOrElse((lp.objId, lp.t),
+        throw new IllegalStateException(s"$method left sample (${lp.objId}, ${lp.t}) unlabelled")))
+      E3Row(method, Quality.ari(pairs), Quality.purity(pairs), Quality.groupRecall(pairs),
+            nClusters, spans.totalMs)
     }
-    Seq(
-      row("S2T-Clustering", s2tPairs, s2t.nClusters, s2tSpans.totalMs),
-      row("TRACLUS", traclusPairs, segLabels.filter(_ >= 0).distinct.length, traclusSpans.totalMs),
-      row("T-OPTICS", topticsPairs, toLabels.filter(_ >= 0).distinct.length, topticsSpans.totalMs),
-      row("Convoys", convoyPairs, convoys.length, convoySpans.totalMs),
-    )
+
+    // S2T labels through its sub-trajectories.
+    val (s2t, s2tSpans) = withMod(spark, p)((df, _) => record(S2TClustering.run(df, S2TClustering.Params())))
+    val clusterOf = s2t.assignments.map(a => (a.objId, a.subId) -> a.clusterId).toMap
+    val s2tRow = row("S2T-Clustering", s2t.nClusters, s2tSpans,
+      s2t.subs.flatMap(s => s.ts.map(t => (s.objId, t) -> clusterOf(s.key))).toMap)
+
+    // TRACLUS labels through segment index ranges. Consecutive segments share
+    // an end sample; the later one is added last, so it keeps that sample.
+    val ((segs, segLabels), traclusSpans) = record(Traclus.run(trajs.toSeq, Traclus.Params()))
+    val tsOf = trajs.map(s => s.objId -> s.ts).toMap
+    val traclusRow = row("TRACLUS", segLabels.filter(_ >= 0).distinct.length, traclusSpans,
+      segs.zip(segLabels).flatMap { case (seg, c) =>
+        (seg.i0 to seg.i1).map(i => (seg.objId, tsOf(seg.objId)(i)) -> c)
+      }.toMap)
+
+    // T-OPTICS labels whole trajectories.
+    val (toLabels, topticsSpans) = record(TOptics.run(trajs, TOptics.Params()))
+    val topticsRow = row("T-OPTICS", toLabels.filter(_ >= 0).distinct.length, topticsSpans,
+      trajs.zip(toLabels).flatMap { case (s, c) => s.ts.map(t => (s.objId, t) -> c) }.toMap)
+
+    // Convoys label the samples of each member inside the convoy's span; a
+    // sample in several convoys goes to the largest, which is added last.
+    val (convoys, convoySpans) = record(Convoys.run(
+      labeled.map(lp => TrajPoint(lp.objId, lp.t, lp.x, lp.y)),
+      Convoys.Params(eps = 8.0, minObjs = 4, minDuration = 6)))
+    val convoyRow = row("Convoys", convoys.length, convoySpans,
+      labeled.map(lp => (lp.objId, lp.t) -> -1).toMap ++
+        (for ((c, i) <- convoys.sortBy(-_.objIds.size).zipWithIndex.reverse; o <- c.objIds;
+              t <- tsOf(o) if t >= c.tStart && t <= c.tEnd) yield (o, t) -> i))
+
+    Seq(s2tRow, traclusRow, topticsRow, convoyRow)
   }
 
   def formatE3(rows: Seq[E3Row]): String = format(
@@ -208,20 +205,14 @@ object Experiments {
             tSteps: Int = 120): Seq[E4Row] = {
     val sigma = S2TClustering.Params().sigma
     sizes.map { n =>
-      val df = TrajGen.points(TrajGen.generate(spark, mod(spark, n, tSteps))).cache()
-      df.count()
+      val p = mod(spark, n, tSteps)
       // Summing the vote column forces every vote, so no optimizer rule can
       // prune the computation being timed.
-      val (setSum, setSpans) = record {
-        Voting.votes(df, sigma).agg(sum("vote")).first().getDouble(0)
-      }
-      val local: Array[TrajPoint] = {
-        import spark.implicits._
-        df.select("obj_id", "t", "x", "y").as[(Long, Long, Double, Double)]
-          .collect().map(r => TrajPoint(r._1, r._2, r._3, r._4))
-      }
+      val (setSum, setSpans) = withMod(spark, p)((df, _) =>
+        record(Voting.votes(df, sigma).agg(sum("vote")).first().getDouble(0)))
+      // The same points in the same order as the DataFrame's.
+      val local = TrajGen.generateLocal(p).map(lp => TrajPoint(lp.objId, lp.t, lp.x, lp.y))
       val (naive, naiveSpans) = record { NaiveVoting.votes(local, sigma) }
-      df.unpersist()
       val naiveSum = naive.sum
       require(math.abs(setSum - naiveSum) <= 1e-6 * math.max(1.0, math.abs(naiveSum)),
         s"N=$n: set-based vote sum $setSum differs from tuple-at-a-time $naiveSum")

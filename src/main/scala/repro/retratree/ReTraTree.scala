@@ -60,8 +60,8 @@ final class ReTraTree(val params: ReTraTree.Params, val dataDir: String) {
   def chunkStart(chunkId: Long): Long = chunkId * params.tau
   def chunkEnd(chunkId: Long): Long = (chunkId + 1) * params.tau
   def subChunkOf(chunkId: Long, tStart: Long): Int = {
-    val w = math.max(1L, params.tau / params.subChunksPerChunk)
-    math.min(params.subChunksPerChunk - 1, ((tStart - chunkStart(chunkId)) / w).toInt)
+    val w = math.max(1L, params.tau / ReTraTree.SubChunksPerChunk)
+    math.min(ReTraTree.SubChunksPerChunk - 1, ((tStart - chunkStart(chunkId)) / w).toInt)
   }
 
   /** One series cut at chunk borders: (chunk id, its samples there) in chunk
@@ -154,19 +154,19 @@ final class ReTraTree(val params: ReTraTree.Params, val dataDir: String) {
 
 object ReTraTree {
 
+  /** Lifespan sub-chunks per chunk — level 2. */
+  val SubChunksPerChunk: Int = 2
+
   /** @param tau                  chunk duration (seconds) — level 1
-    * @param subChunksPerChunk    lifespan sub-chunks per chunk — level 2
     * @param reclusterThreshold   outlier-partition size that triggers S2T
     * @param s2t                  parameters of the clustering machinery
     */
   final case class Params(
       tau: Long,
-      subChunksPerChunk: Int = 2,
       reclusterThreshold: Int = 16,
       s2t: S2TClustering.Params = S2TClustering.Params()
   ) {
     require(tau > 0, s"tau must be positive, got $tau")
-    require(subChunksPerChunk >= 1, s"subChunksPerChunk must be at least 1, got $subChunksPerChunk")
     require(reclusterThreshold >= 1, s"reclusterThreshold must be at least 1, got $reclusterThreshold")
   }
 

@@ -26,12 +26,6 @@ final case class Box3D(minX: Double, maxX: Double,
     math.min(minT, o.minT), math.max(maxT, o.maxT))
 }
 
-object Box3D {
-  /** Box spanning only a temporal period (all of space) — the W query. */
-  def temporal(t0: Long, t1: Long): Box3D =
-    Box3D(Double.MinValue, Double.MaxValue, Double.MinValue, Double.MaxValue, t0, t1)
-}
-
 /** Static 3D R-tree over (x, y, t) boxes with integer payloads.
   *
   * This is the `pg3D-Rtree` substrate of the paper (there built on

@@ -19,12 +19,7 @@ import repro.model.{SubTraj, TrajDistance}
   */
 object Sampling {
 
-  final case class Params(
-      eps: Double = 10.0,
-      minOverlapFrac: Double = 0.5,
-      maxReps: Int = 64,
-      minAvgVote: Double = 1.0
-  )
+  final case class Params(eps: Double, minOverlapFrac: Double, maxReps: Int, minAvgVote: Double)
 
   /** Greedy selection of the sampling set. Deterministic: ties broken by
     * (objId, subId). Returns representatives in selection order — their index

@@ -46,7 +46,6 @@ object TrajGen {
       seed: Long = 42L
   ) {
     def nObjects: Int = nGroups * perGroup + nNoise
-    def horizon: Long = tSteps * dt
   }
 
   /** Generate the MOD on the driver (deterministic in `p.seed`). */

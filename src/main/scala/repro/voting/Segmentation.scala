@@ -20,7 +20,7 @@ import repro.model.{Series, SubTraj}
   */
 object Segmentation {
 
-  final case class Params(lambda: Double = 2.0, minLen: Int = 4, maxGap: Long = 60L)
+  final case class Params(lambda: Double, minLen: Int, maxGap: Long)
 
   /** Within-segment SSE of `v` over [lo, hi) given prefix sums. */
   private def sse(pre: Array[Double], pre2: Array[Double], lo: Int, hi: Int): Double = {

@@ -164,11 +164,6 @@ class S2TClusteringSpec extends SparkSpec {
     S2TClustering.Params(minOverlapFrac = 1.0)
   }
 
-  test("clusterSizes counts only non-outlier members") {
-    val total = result.clusterSizes.values.sum
-    assert(total == result.assignments.count(_.clusterId != Assignment.Outlier))
-  }
-
   test("localPhases reproduces the distributed sampling + assignment") {
     val (reps, assigns) = S2TClustering.localPhases(result.subs, S2TClustering.Params())
     assert(reps.map(_.key).toSeq == result.reps.map(_.key).toSeq)

@@ -299,10 +299,8 @@ class ReTraTreeSpec extends SparkSpec {
     assert(QuTClustering.query(t2, -50L, 50L).nRecomputedChunks == 2)
   }
 
-  test("Params reject sub-chunk counts and recluster thresholds below 1") {
+  test("Params reject recluster thresholds below 1") {
     for ((params, field) <- Seq(
-           (() => ReTraTree.Params(tau = tau, subChunksPerChunk = 0), "subChunksPerChunk"),
-           (() => ReTraTree.Params(tau = tau, subChunksPerChunk = -2), "subChunksPerChunk"),
            (() => ReTraTree.Params(tau = tau, reclusterThreshold = 0), "reclusterThreshold"))) {
       val e = intercept[IllegalArgumentException](params())
       assert(e.getMessage.contains(field), e.getMessage)

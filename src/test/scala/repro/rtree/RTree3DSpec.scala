@@ -14,6 +14,10 @@ class RTree3DSpec extends AnyFunSuite {
     Box3D(x, x + rnd.nextDouble() * 20, y, y + rnd.nextDouble() * 20, t, t + rnd.nextInt(100))
   }
 
+  /** Box spanning only a temporal period (all of space). */
+  private def temporal(t0: Long, t1: Long): Box3D =
+    Box3D(Double.MinValue, Double.MaxValue, Double.MinValue, Double.MaxValue, t0, t1)
+
   private def randomBoxes(n: Int, seed: Long): IndexedSeq[Box3D] = {
     val rnd = new scala.util.Random(seed)
     IndexedSeq.fill(n)(randomBox(rnd))
@@ -69,7 +73,7 @@ class RTree3DSpec extends AnyFunSuite {
   }
 
   test("temporal box spans all of space") {
-    val w = Box3D.temporal(10, 20)
+    val w = temporal(10, 20)
     assert(w.intersects(box(1e8, -1e8, 15)))
     assert(!w.intersects(box(0, 0, 100)))
   }
@@ -101,7 +105,7 @@ class RTree3DSpec extends AnyFunSuite {
         val q = randomBox(rnd)
         assertMatchesBruteForce(t, items, q, s"seed=$seed q=$q")
       }
-      assertMatchesBruteForce(t, items, Box3D.temporal(Long.MinValue, Long.MaxValue), s"seed=$seed all")
+      assertMatchesBruteForce(t, items, temporal(Long.MinValue, Long.MaxValue), s"seed=$seed all")
     }
   }
 
@@ -125,7 +129,7 @@ class RTree3DSpec extends AnyFunSuite {
 
   test("temporal query returns exactly the entries alive in the window") {
     val t = RTree3D.bulkLoad((0 until 100).map(i => (box(i, i, i * 10L, d = 9L), i)))
-    val got = t.query(Box3D.temporal(200, 299)).sorted
+    val got = t.query(temporal(200, 299)).sorted
     assert(got == (20 to 29).toVector)
   }
 
@@ -153,7 +157,7 @@ class RTree3DSpec extends AnyFunSuite {
     val t = RTree3D.bulkLoad(all)
     assert(t.invariantsHold && t.depth >= 3)
     assertMatchesBruteForce(t, all, Box3D(450, 1100, 400, 1200, 0, 5100), "cross-cluster window")
-    assertMatchesBruteForce(t, all, Box3D.temporal(0, 5100), "all of space and time")
+    assertMatchesBruteForce(t, all, temporal(0, 5100), "all of space and time")
     val qr = new scala.util.Random(10)
     for (_ <- 0 until 50) {
       val x = qr.nextDouble() * 1600; val y = qr.nextDouble() * 1600; val t0 = qr.nextInt(5000).toLong
