@@ -3,8 +3,9 @@ package repro.bench
 import repro.SparkSpec
 import repro.exp.Experiments
 
-/** E2 — QuT-Clustering vs. the range-query → R-tree → S2T pipeline for
-  * varying temporal periods W (the demo's scenario 2). The paper's claim:
+/** E2 — QuT-Clustering vs. the range-query → S2T pipeline for varying
+  * temporal periods W (the demo's scenario 2; the paper's R-tree step is the
+  * grid that S2T's voting builds over the window). The paper's claim:
   * QuT answers from the ReTraTree orders of magnitude faster because fully
   * covered chunks are reused and stored votes make boundary re-clustering
   * cheap, while the baseline re-runs the whole stack per query.
@@ -15,7 +16,7 @@ class E2QuTBench extends SparkSpec {
                                               stepsPerChunk = 60)
 
   test("E2: print the QuT vs baseline table") {
-    println("\n=== E2: QuT-Clustering vs range-query+R-tree+S2T (varying |W|) ===")
+    println("\n=== E2: QuT-Clustering vs range-query+S2T (varying |W|) ===")
     println(Experiments.formatE2(result))
     assert(result.rows.length == 7)
   }

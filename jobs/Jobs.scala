@@ -30,7 +30,7 @@ object E1S2TScaling {
   }
 }
 
-/** E2 — QuT-Clustering vs. range-query+R-tree+S2T for varying W. */
+/** E2 — QuT-Clustering vs. range-query+S2T for varying W. */
 object E2QuT {
   def main(args: Array[String]): Unit = JobUtil.run("E2QuT") { spark =>
     Experiments.formatE2(

@@ -41,6 +41,7 @@ object S2TClustering {
     require(eps.isFinite && eps >= 0, s"eps must be finite and non-negative, got $eps")
     require(minOverlapFrac >= 0 && minOverlapFrac <= 1, s"minOverlapFrac must lie in [0, 1], got $minOverlapFrac")
     require(maxReps >= 1, s"maxReps must be at least 1, got $maxReps")
+    require(minAvgVote.isFinite && minAvgVote >= 0, s"minAvgVote must be finite and non-negative, got $minAvgVote")
 
     def segmentation: Segmentation.Params = Segmentation.Params(lambda, minLen, maxGap)
     def sampling: Sampling.Params = Sampling.Params(eps, minOverlapFrac, maxReps, minAvgVote)

@@ -38,7 +38,7 @@ object Experiments {
     val nGroups = math.max(1, (nObjects * 4) / (5 * perGroup))
     TrajGen.Params(nGroups = nGroups, perGroup = perGroup,
                    nNoise = math.max(0, nObjects - nGroups * perGroup),
-                   tSteps = tSteps, dt = 10L, switchFrac = switchFrac, seed = seed)
+                   tSteps = tSteps, switchFrac = switchFrac, seed = seed)
   }
 
   /** Generate the MOD of `p`, cache it, and run `body` on it and its point
@@ -79,7 +79,7 @@ object Experiments {
 
   // --------------------------------------------------------------------- E2
 
-  /** E2 — QuT-Clustering vs. (range query → R-tree → S2T) for varying W. */
+  /** E2 — QuT-Clustering vs. (range query → S2T) for varying W. */
   final case class E2Row(wChunks: Double, aligned: Boolean, qutMs: Long,
                          baselineMs: Long, speedup: Double,
                          qutClusters: Int, baselineClusters: Int,
@@ -90,7 +90,7 @@ object Experiments {
 
   def runE2(spark: SparkSession, nObjects: Int = 200, nChunks: Int = 8,
             stepsPerChunk: Int = 60): E2Result = {
-    val tau = stepsPerChunk * 10L
+    val tau = stepsPerChunk * TrajGen.Dt
     withMod(spark, mod(spark, nObjects, nChunks * stepsPerChunk)) { (df, _) =>
       val dir = Files.createTempDirectory("retratree")
       val s2tParams = S2TClustering.Params()
@@ -108,7 +108,7 @@ object Experiments {
           val (base, b) = record(RangeQueryS2T.query(df, w0, w1, s2tParams))
           E2Row(wChunks, aligned, q.totalMs, b.totalMs,
                 b.totalMs.toDouble / math.max(1L, q.totalMs),
-                qut.nClusters, base.s2t.nClusters,
+                qut.nClusters, base.nClusters,
                 qut.nReusedChunks, qut.nRecomputedChunks)
         }
         E2Result(built, tree.chunks.size, rows)

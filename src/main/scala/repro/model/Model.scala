@@ -104,12 +104,6 @@ final case class SubTraj(series: Series, subId: Int) {
   def key: (Long, Int) = (objId, subId)
 }
 
-object SubTraj {
-  def apply(objId: Long, subId: Int, ts: Array[Long], xs: Array[Double], ys: Array[Double],
-            votes: Array[Double]): SubTraj =
-    SubTraj(Series(objId, ts, xs, ys, votes), subId)
-}
-
 /** Assignment of one sub-trajectory to a cluster.
   *
   * `clusterId` is the index of the representative in the sampling set, or

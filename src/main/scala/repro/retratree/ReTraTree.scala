@@ -16,9 +16,7 @@ import scala.util.Using
   * (representatives) and the assignment of every sub-trajectory to a
   * representative or to the outlier bucket.
   */
-final case class SubChunkClustering(reps: Array[SubTraj], assignments: Array[Assignment]) {
-  def nClusters: Int = reps.length
-}
+final case class SubChunkClustering(reps: Array[SubTraj], assignments: Array[Assignment])
 
 /** Levels 2–3 state of one temporal chunk: its sub-chunk clusterings, the
   * buffer of not-yet-clustered inserted trajectories, and appended member
@@ -32,7 +30,6 @@ final class ChunkClustering(val chunkId: Long) {
   val pendingOutliers: ArrayBuffer[Series] = ArrayBuffer.empty
 
   def allReps: Array[SubTraj] = subChunks.flatMap(_.reps).toArray
-  def nClusters: Int = subChunks.map(_.nClusters).sum
 }
 
 /** ReTraTree — the hierarchical structure behind QuT-Clustering [10].

@@ -17,32 +17,33 @@ import scala.util.Random
   *    diverges at mid-life onto its own heading — this is exactly what makes
   *    clustering at the sub-trajectory level necessary (a whole-trajectory
   *    method is forced to average the two behaviours);
-  *  - *noise objects*: smooth random walks belonging to no group;
-  *  - *staggered lifespans*: each group is alive over a sub-interval of the
-  *    horizon, giving QuT/ReTraTree temporal structure to index.
+  *  - *noise objects*: smooth random walks belonging to no group.
   *
   * Every point carries the planted `label` (group id, or -1 for noise and for
   * post-divergence samples) used only by quality metrics.
   */
 object TrajGen {
 
-  /** Generator parameters. Time is `tSteps` samples at `dt` seconds; space is
-    * a square of side `extent`. `switchFrac` of each group's members diverge
-    * at mid-life. `groupSpan` is the fraction of the horizon each group is
-    * alive for (1.0 = whole horizon).
+  /** Sampling period (s). */
+  val Dt: Long = 10L
+  /** Side of the square that start points are drawn from. */
+  val Extent: Double = 1000.0
+  /** Distance moved per 10 s. */
+  val Speed: Double = 8.0
+  /** Standard deviation of a member's lateral offset from its lane. */
+  val LaneWidth: Double = 2.0
+
+  /** Generator parameters. Time is `tSteps` samples at `Dt` seconds, and
+    * every group lives over the whole horizon. `switchFrac` of each group's
+    * members diverge at mid-life.
     */
   final case class Params(
       nGroups: Int = 5,
       perGroup: Int = 10,
       nNoise: Int = 10,
       tSteps: Int = 120,
-      dt: Long = 10L,
-      extent: Double = 1000.0,
-      speed: Double = 8.0,
-      laneWidth: Double = 2.0,
       jitter: Double = 0.4,
       switchFrac: Double = 0.0,
-      groupSpan: Double = 1.0,
       seed: Long = 42L
   ) {
     def nObjects: Int = nGroups * perGroup + nNoise
@@ -56,30 +57,29 @@ object TrajGen {
 
     // Co-moving groups along lanes.
     for (g <- 0 until p.nGroups) {
-      val x0 = rnd.nextDouble() * p.extent
-      val y0 = rnd.nextDouble() * p.extent
+      val x0 = rnd.nextDouble() * Extent
+      val y0 = rnd.nextDouble() * Extent
       val theta = rnd.nextDouble() * 2 * math.Pi
-      val (dxStep, dyStep) = (math.cos(theta) * p.speed * p.dt / 10.0,
-                              math.sin(theta) * p.speed * p.dt / 10.0)
-      val span = math.max(2, (p.tSteps * p.groupSpan).toInt)
-      val start = if (span >= p.tSteps) 0 else rnd.nextInt(p.tSteps - span + 1)
+      val (dxStep, dyStep) = (math.cos(theta) * Speed * Dt / 10.0,
+                              math.sin(theta) * Speed * Dt / 10.0)
+      val span = math.max(2, p.tSteps)
       val nSwitch = (p.perGroup * p.switchFrac).toInt
       for (m <- 0 until p.perGroup) {
-        val perp = rnd.nextGaussian() * p.laneWidth
+        val perp = rnd.nextGaussian() * LaneWidth
         val (ox, oy) = (-math.sin(theta) * perp, math.cos(theta) * perp)
         val switches = m < nSwitch
-        val switchStep = start + span / 2
+        val switchStep = span / 2
         // Divergent heading after the switch point.
         val thetaD = theta + (if (rnd.nextBoolean()) 1 else -1) * (math.Pi / 2 + rnd.nextDouble() * math.Pi / 2)
-        val (ddx, ddy) = (math.cos(thetaD) * p.speed * p.dt / 10.0,
-                          math.sin(thetaD) * p.speed * p.dt / 10.0)
+        val (ddx, ddy) = (math.cos(thetaD) * Speed * Dt / 10.0,
+                          math.sin(thetaD) * Speed * Dt / 10.0)
         var px = x0 + ox; var py = y0 + oy
-        for (s <- start until (start + span)) {
+        for (s <- 0 until span) {
           val diverged = switches && s >= switchStep
-          if (s > start) { if (diverged) { px += ddx; py += ddy } else { px += dxStep; py += dyStep } }
+          if (s > 0) { if (diverged) { px += ddx; py += ddy } else { px += dxStep; py += dyStep } }
           val jx = rnd.nextGaussian() * p.jitter
           val jy = rnd.nextGaussian() * p.jitter
-          out += LabeledPoint(objId, s * p.dt, px + jx, py + jy, if (diverged) -1 else g)
+          out += LabeledPoint(objId, s * Dt, px + jx, py + jy, if (diverged) -1 else g)
         }
         objId += 1
       }
@@ -87,16 +87,16 @@ object TrajGen {
 
     // Noise objects: smooth random walks over the whole horizon.
     for (_ <- 0 until p.nNoise) {
-      var px = rnd.nextDouble() * p.extent
-      var py = rnd.nextDouble() * p.extent
+      var px = rnd.nextDouble() * Extent
+      var py = rnd.nextDouble() * Extent
       var theta = rnd.nextDouble() * 2 * math.Pi
       for (s <- 0 until p.tSteps) {
         if (s > 0) {
           theta += rnd.nextGaussian() * 0.3
-          px += math.cos(theta) * p.speed * p.dt / 10.0
-          py += math.sin(theta) * p.speed * p.dt / 10.0
+          px += math.cos(theta) * Speed * Dt / 10.0
+          py += math.sin(theta) * Speed * Dt / 10.0
         }
-        out += LabeledPoint(objId, s * p.dt, px, py, -1)
+        out += LabeledPoint(objId, s * Dt, px, py, -1)
       }
       objId += 1
     }

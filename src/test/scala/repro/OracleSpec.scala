@@ -7,7 +7,7 @@ import repro.traj.TrajGen
 class OracleSpec extends SparkSpec {
 
   private lazy val pts = TrajGen.points(TrajGen.generate(spark,
-    TrajGen.Params(nGroups = 2, perGroup = 4, nNoise = 2, tSteps = 30, dt = 10L, seed = 5L)))
+    TrajGen.Params(nGroups = 2, perGroup = 4, nNoise = 2, tSteps = 30, seed = 5L)))
 
   private val sql =
     """SELECT obj_id, COUNT(*) AS n, MIN(CAST(t AS BIGINT)) AS t0

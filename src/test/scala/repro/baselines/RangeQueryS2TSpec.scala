@@ -9,7 +9,7 @@ import repro.traj.TrajGen
 class RangeQueryS2TSpec extends SparkSpec {
 
   private val genParams = TrajGen.Params(nGroups = 2, perGroup = 5, nNoise = 3,
-                                         tSteps = 40, dt = 10L, seed = 23L)
+                                         tSteps = 40, seed = 23L)
   private lazy val pointsDf = TrajGen.points(TrajGen.generate(spark, genParams)).cache()
 
   test("oracle: the temporal range query matches DuckDB") {
@@ -23,33 +23,28 @@ class RangeQueryS2TSpec extends SparkSpec {
     Oracle.assertEquivalent(sparkSide, sql, "pts" -> pointsDf)
   }
 
-  test("the R-tree step indexes one MBB per object in the window") {
-    val r = RangeQueryS2T.query(pointsDf, 0L, 400L, S2TClustering.Params())
-    assert(r.rtree.size == genParams.nObjects)
-  }
-
   test("a window with no records yields an empty result") {
     val r = RangeQueryS2T.query(pointsDf, 100000L, 200000L, S2TClustering.Params())
-    assert(r.rtree.isEmpty && r.s2t.subs.isEmpty && r.s2t.reps.isEmpty)
+    assert(r.subs.isEmpty && r.reps.isEmpty)
   }
 
   test("clustering sees only the windowed samples") {
     val w0 = 100L; val w1 = 300L
     val r = RangeQueryS2T.query(pointsDf, w0, w1, S2TClustering.Params())
-    r.s2t.subs.foreach { s =>
+    r.subs.foreach { s =>
       assert(s.tStart >= w0 && s.tEnd < w1, s"sub-trajectory leaked outside W")
     }
   }
 
   test("the baseline finds the planted lanes in a window") {
     val r = RangeQueryS2T.query(pointsDf, 0L, 400L, S2TClustering.Params())
-    assert(r.s2t.nClusters >= genParams.nGroups)
+    assert(r.nClusters >= genParams.nGroups)
   }
 
-  test("timings cover all three baseline steps") {
+  test("timings cover the range query and every S2T phase") {
     val (_, s) = record(RangeQueryS2T.query(pointsDf, 0L, 200L, S2TClustering.Params()))
     assert(s.ms.keys.toSeq ==
-      Seq("range query", "rtree build", "voting", "segmentation", "sampling", "assignment"))
+      Seq("range query", "voting", "segmentation", "sampling", "assignment"))
     assert(s.ms.values.forall(_ >= 0))
     assert(s.ms.values.sum <= s.totalMs)
   }
@@ -58,12 +53,5 @@ class RangeQueryS2TSpec extends SparkSpec {
     pointsDf.count() // the input's own cache is not the query's
     val dup = pointsDf.union(pointsDf.where("obj_id = 0 AND t = 0"))
     assertRejectedWithoutLeak("duplicate samples")(RangeQueryS2T.query(dup, 0L, 200L, S2TClustering.Params()))
-  }
-
-  test("R-tree boxes cover the window's temporal extent only") {
-    val w0 = 100L; val w1 = 300L
-    val r = RangeQueryS2T.query(pointsDf, w0, w1, S2TClustering.Params())
-    val b = r.rtree.bounds.get
-    assert(b.minT >= w0 && b.maxT < w1)
   }
 }

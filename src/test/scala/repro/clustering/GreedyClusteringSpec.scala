@@ -1,14 +1,14 @@
 package repro.clustering
 
 import repro.SparkSpec
-import repro.model.{Assignment, SubTraj}
+import repro.model.{Assignment, Series, SubTraj}
 
 class GreedyClusteringSpec extends SparkSpec {
 
   private def sub(objId: Long, y0: Double, t0: Long = 0L, n: Int = 10,
                   subId: Int = 0): SubTraj =
-    SubTraj(objId, subId, Array.tabulate(n)(i => t0 + i * 10L),
-            Array.tabulate(n)(_.toDouble), Array.fill(n)(y0), Array.fill(n)(1.0))
+    SubTraj(Series(objId, Array.tabulate(n)(i => t0 + i * 10L),
+                   Array.tabulate(n)(_.toDouble), Array.fill(n)(y0), Array.fill(n)(1.0)), subId)
 
   private val eps = 5.0
   private val frac = 0.5

@@ -7,7 +7,7 @@ import repro.traj.TrajGen
 class QuTClusteringSpec extends SparkSpec {
 
   private val genParams = TrajGen.Params(nGroups = 2, perGroup = 6, nNoise = 4,
-                                         tSteps = 80, dt = 10L, seed = 19L)
+                                         tSteps = 80, seed = 19L)
   private val tau = 200L // 4 chunks
 
   private lazy val pointsDf = TrajGen.points(TrajGen.generate(spark, genParams)).cache()
@@ -117,6 +117,6 @@ class QuTClusteringSpec extends SparkSpec {
 
   test("QuT cluster count on aligned windows matches the stored level-3 content") {
     val r = QuTClustering.query(tree, 200L, 400L)
-    assert(r.nClusters == tree.chunks(1L).nClusters)
+    assert(r.nClusters == tree.chunks(1L).allReps.length)
   }
 }

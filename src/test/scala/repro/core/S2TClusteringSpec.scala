@@ -148,7 +148,10 @@ class S2TClusteringSpec extends SparkSpec {
                       () => S2TClustering.Params(eps = Double.PositiveInfinity)),
          "minOverlapFrac" -> Seq(() => S2TClustering.Params(minOverlapFrac = -0.1),
                                  () => S2TClustering.Params(minOverlapFrac = 1.1),
-                                 () => S2TClustering.Params(minOverlapFrac = Double.NaN)))) {
+                                 () => S2TClustering.Params(minOverlapFrac = Double.NaN)),
+         "minAvgVote" -> Seq(() => S2TClustering.Params(minAvgVote = -0.1),
+                             () => S2TClustering.Params(minAvgVote = Double.NaN),
+                             () => S2TClustering.Params(minAvgVote = Double.PositiveInfinity)))) {
     test(s"Params reject an invalid $field before any Spark job starts") {
       points.count()
       val jobs = jobsDuring(invalid.foreach { params =>
@@ -160,7 +163,8 @@ class S2TClusteringSpec extends SparkSpec {
   }
 
   test("Params accept the bounds of every range") {
-    S2TClustering.Params(lambda = 0.0, maxGap = 0L, eps = 0.0, minOverlapFrac = 0.0, minLen = 1, maxReps = 1)
+    S2TClustering.Params(lambda = 0.0, maxGap = 0L, eps = 0.0, minOverlapFrac = 0.0, minLen = 1, maxReps = 1,
+                         minAvgVote = 0.0)
     S2TClustering.Params(minOverlapFrac = 1.0)
   }
 

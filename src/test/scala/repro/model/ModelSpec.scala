@@ -16,7 +16,7 @@ class ModelSpec extends AnyFunSuite {
                   xs: Array[Double] = Array(0.0, 1.0, 2.0),
                   ys: Array[Double] = Array(0.0, 0.0, 0.0),
                   votes: Array[Double] = Array(1.0, 2.0, 3.0)): SubTraj =
-    SubTraj(objId, subId, ts, xs, ys, votes)
+    SubTraj(Series(objId, ts, xs, ys, votes), subId)
 
   private def rows(s: Series): Seq[(Long, Long, Double, Double, Double)] =
     s.ts.indices.map(i => (s.objId, s.ts(i), s.xs(i), s.ys(i), s.votes(i)))
@@ -64,7 +64,7 @@ class ModelSpec extends AnyFunSuite {
       Series(1L, Array(0L), Array(0.0), Array(0.0), Array(0.0, 1.0))
     }
     intercept[IllegalArgumentException] {
-      SubTraj(1L, 0, Array(0L, 1L), Array(0.0), Array(0.0), Array(0.0))
+      SubTraj(Series(1L, Array(0L, 1L), Array(0.0), Array(0.0), Array(0.0)), 0)
     }
   }
 

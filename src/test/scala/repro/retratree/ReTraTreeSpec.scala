@@ -13,7 +13,7 @@ import java.nio.file.Paths
 class ReTraTreeSpec extends SparkSpec {
 
   private val genParams = TrajGen.Params(nGroups = 2, perGroup = 6, nNoise = 4,
-                                         tSteps = 80, dt = 10L, seed = 17L)
+                                         tSteps = 80, seed = 17L)
   private val tau = 200L // 4 chunks over the 800s horizon
 
   private lazy val pointsDf = TrajGen.points(TrajGen.generate(spark, genParams)).cache()
@@ -38,7 +38,7 @@ class ReTraTreeSpec extends SparkSpec {
 
   test("every chunk found clusters for the planted lanes") {
     tree.chunks.values.foreach { cc =>
-      assert(cc.nClusters >= 1, s"chunk ${cc.chunkId} has no clusters")
+      assert(cc.allReps.length >= 1, s"chunk ${cc.chunkId} has no clusters")
     }
   }
 
@@ -179,7 +179,7 @@ class ReTraTreeSpec extends SparkSpec {
     val t2 = ReTraTree.build(pointsDf,
       ReTraTree.Params(tau = tau, reclusterThreshold = 5), dir)
     val cc = t2.chunks(0L)
-    val clustersBefore = cc.nClusters
+    val clustersBefore = cc.allReps.length
     // 5 co-moving new trajectories far from everything: a brand-new lane
     for (m <- 0 until 5) {
       val pts = (0 until 20).map(i =>
@@ -187,7 +187,7 @@ class ReTraTreeSpec extends SparkSpec {
       t2.insertTrajectory(pts)
     }
     assert(cc.pendingOutliers.isEmpty, "threshold must drain the outlier partition")
-    assert(cc.nClusters > clustersBefore,
+    assert(cc.allReps.length > clustersBefore,
       "back-propagation must create a new representative for the new lane")
   }
 
@@ -213,7 +213,7 @@ class ReTraTreeSpec extends SparkSpec {
     val t2 = ReTraTree.build(pointsDf,
       ReTraTree.Params(tau = tau, reclusterThreshold = 5), tempDir("retratree-ins7"))
     val cc = t2.chunks(1L)
-    val buildReps = cc.nClusters
+    val buildReps = cc.allReps.length
     for (m <- 0 until 5) {
       val pts = (20 until 40).map(i =>
         TrajPoint(950L + m, i * 10L, 50000.0 + i * 5.0, 50000.0 + m * 0.5)).toArray

@@ -1,15 +1,15 @@
 package repro.sampling
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.model.SubTraj
+import repro.model.{Series, SubTraj}
 
 class SamplingSpec extends AnyFunSuite {
 
   /** A straight sub-trajectory at lateral offset `y0` with constant vote. */
   private def sub(objId: Long, y0: Double, vote: Double, t0: Long = 0L, n: Int = 10,
                   subId: Int = 0): SubTraj =
-    SubTraj(objId, subId, Array.tabulate(n)(i => t0 + i * 10L),
-            Array.tabulate(n)(_.toDouble), Array.fill(n)(y0), Array.fill(n)(vote))
+    SubTraj(Series(objId, Array.tabulate(n)(i => t0 + i * 10L),
+                   Array.tabulate(n)(_.toDouble), Array.fill(n)(y0), Array.fill(n)(vote)), subId)
 
   private val P = Sampling.Params(eps = 5.0, minOverlapFrac = 0.5, maxReps = 10,
                                   minAvgVote = 1.0)

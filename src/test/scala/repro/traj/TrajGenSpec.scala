@@ -5,8 +5,7 @@ import repro.model.{Series, TrajDistance}
 
 class TrajGenSpec extends SparkSpec {
 
-  private val p = TrajGen.Params(nGroups = 3, perGroup = 5, nNoise = 4, tSteps = 50,
-                                 dt = 10L, seed = 7L)
+  private val p = TrajGen.Params(nGroups = 3, perGroup = 5, nNoise = 4, tSteps = 50, seed = 7L)
 
   test("generator is deterministic in the seed") {
     val a = TrajGen.generateLocal(p)
@@ -31,17 +30,8 @@ class TrajGenSpec extends SparkSpec {
     byObj.values.foreach(pts => assert(pts.length == p.tSteps))
   }
 
-  test("groupSpan < 1 shortens group lifespans but not noise lifespans") {
-    val pp = p.copy(groupSpan = 0.5)
-    val byObj = TrajGen.generateLocal(pp).groupBy(_.objId)
-    val groupObjs = (0 until pp.nGroups * pp.perGroup).map(_.toLong)
-    val noiseObjs = (pp.nGroups * pp.perGroup until pp.nObjects).map(_.toLong)
-    groupObjs.foreach(o => assert(byObj(o).length == pp.tSteps / 2))
-    noiseObjs.foreach(o => assert(byObj(o).length == pp.tSteps))
-  }
-
   test("timestamps are multiples of dt") {
-    assert(TrajGen.generateLocal(p).forall(_.t % p.dt == 0))
+    assert(TrajGen.generateLocal(p).forall(_.t % TrajGen.Dt == 0))
   }
 
   test("noise objects are labelled -1 throughout") {
@@ -62,7 +52,7 @@ class TrajGenSpec extends SparkSpec {
     val pts = TrajGen.generateLocal(p).groupBy(_.objId)
     def series(objId: Long) = Series.fromRows(pts(objId).map(q => (q.objId, q.t, q.x, q.y, 0.0)))
     val (d, _) = TrajDistance.timeSyncStats(series(0L), series(1L)) // same group
-    assert(d < 6 * p.laneWidth, s"lane mates drifted apart: d=$d")
+    assert(d < 6 * TrajGen.LaneWidth, s"lane mates drifted apart: d=$d")
   }
 
   test("members of different groups are usually far apart") {
