@@ -14,7 +14,7 @@ class E4InDbmsBench extends SparkSpec {
                                             tSteps = 120)
 
   test("E4: print the set-based vs tuple-at-a-time table") {
-    println("\n=== E4: set-based (Spark SQL) vs tuple-at-a-time voting ===")
+    println("\n=== E4: set-based (Spark) vs tuple-at-a-time voting ===")
     println(Experiments.formatE4(rows))
     assert(rows.length == 3)
   }

@@ -42,17 +42,20 @@ object Traclus {
     else math.abs(vx * (py - sy) - vy * (px - sx)) / math.sqrt(l2)
   }
 
-  /** MDL cost of representing xs/ys[lo..hi] by the single segment lo→hi. */
+  /** MDL cost of representing xs/ys[lo..hi] by the single segment lo→hi:
+    * L(H), the log2 of its length, plus L(D|H), which sums over each original
+    * segment it replaces the log2 of that segment's perpendicular and angular
+    * distances to it ([5], §4.1).
+    */
   private def mdlPar(xs: Array[Double], ys: Array[Double], lo: Int, hi: Int): Double = {
-    val lh = log2(dist(xs(lo), ys(lo), xs(hi), ys(hi)))
-    var dPerp = 0.0; var dTheta = 0.0
+    var cost = log2(dist(xs(lo), ys(lo), xs(hi), ys(hi)))
     var i = lo
     while (i < hi) {
-      dPerp += perpSegDist(xs(lo), ys(lo), xs(hi), ys(hi), xs(i), ys(i), xs(i + 1), ys(i + 1))
-      dTheta += angularDist(xs(lo), ys(lo), xs(hi), ys(hi), xs(i), ys(i), xs(i + 1), ys(i + 1))
+      cost += log2(perpSegDist(xs(lo), ys(lo), xs(hi), ys(hi), xs(i), ys(i), xs(i + 1), ys(i + 1))) +
+        log2(angularDist(xs(lo), ys(lo), xs(hi), ys(hi), xs(i), ys(i), xs(i + 1), ys(i + 1)))
       i += 1
     }
-    lh + log2(dPerp) + log2(dTheta)
+    cost
   }
 
   /** MDL cost of keeping every original segment in [lo, hi]. */

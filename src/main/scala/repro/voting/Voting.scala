@@ -41,15 +41,25 @@ object Voting {
     * grid, at most one sample per (obj_id, t). Output: (obj_id, t, x, y,
     * vote), one row per input row (vote 0 for samples nobody is near).
     * Evaluation throws (root cause `IllegalArgumentException`) on duplicate
-    * (obj_id, t) samples and on non-finite x or y. Each partition of the one
-    * shuffle by t is held in memory while grouped, about points divided by
-    * `spark.sql.shuffle.partitions` rows: 3k for E4's 192k points over 64.
+    * (obj_id, t) samples and on non-finite x or y.
+    *
+    * The one shuffle by t goes into `spark.sparkContext.defaultParallelism`
+    * partitions, one per core, whatever `spark.sql.shuffle.partitions` says:
+    * more partitions than cores only add per-task and per-block overhead to a
+    * job this short. That count is what bounds memory: each partition is held
+    * in memory while grouped, about points / `defaultParallelism` rows, 48k
+    * for E4's largest MOD (192k points) on 4 cores.
     */
-  def votes(points: DataFrame, sigma: Double): DataFrame = {
+  def votes(points: DataFrame, sigma: Double): DataFrame =
+    votes(points, sigma, points.sparkSession.sparkContext.defaultParallelism)
+
+  /** [[votes]] with the shuffle into `partitions` partitions. */
+  private[voting] def votes(points: DataFrame, sigma: Double, partitions: Int): DataFrame = {
     require(sigma > 0, s"sigma must be positive, got $sigma")
     val spark = points.sparkSession
     import spark.implicits._
-    points.select($"obj_id", $"t", $"x", $"y").repartition($"t").as[(Long, Long, Double, Double)]
+    points.select($"obj_id", $"t", $"x", $"y").repartition(partitions, $"t")
+      .as[(Long, Long, Double, Double)]
       .mapPartitions(byTimestamp(_, sigma)).toDF("obj_id", "t", "x", "y", "vote")
   }
 

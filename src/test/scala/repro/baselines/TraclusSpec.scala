@@ -23,16 +23,39 @@ class TraclusSpec extends AnyFunSuite {
 
   test("a right-angle turn introduces a characteristic point near the corner") {
     // MDL partitioning triggers when the deviation terms outweigh the
-    // per-step encoding cost — use a dense trace (2-unit spacing, corner 5
-    // steps in), the regime [5] operates in; with very long inter-point
-    // spacing the criterion provably never fires (cost grows linearly,
-    // deviation terms logarithmically).
+    // per-step encoding cost: a dense trace (2-unit spacing, corner 5 steps
+    // in).
     val xs = Array.tabulate(6)(_.toDouble * 2) ++ Array.fill(8)(10.0)
     val ys = Array.fill(6)(0.0) ++ Array.tabulate(8)(i => (i + 1).toDouble * 2)
     val cps = Traclus.characteristicPoints(xs, ys)
     assert(cps.length >= 3, s"expected a partition point at the corner: ${cps.toSeq}")
     assert(cps.exists(i => i != 0 && i != 13 && math.abs(i - 5) <= 4),
       s"no CP near the corner: ${cps.toSeq}")
+  }
+
+  test("a switcher-shaped path gets a characteristic point at its mid-life turn") {
+    // E3's switchers: 120 samples 8 units apart with jitter 0.4, turning by
+    // 90-180 degrees after sample 59. The per-segment L(D|H) of [5] grows with
+    // every step past the turn, so one segment stops being the cheaper
+    // description there. Sharper folds are cut later, because their
+    // perpendicular distances grow slowly: at 165 degrees six samples after
+    // the turn, at exactly 180 (back along its own line) near the end.
+    val rnd = new scala.util.Random(7)
+    for (turn <- Seq(90, 110, 130, 150); side <- Seq(1, -1)) {
+      val theta0 = rnd.nextDouble() * 2 * math.Pi
+      val theta1 = theta0 + side * math.toRadians(turn)
+      var x = 0.0; var y = 0.0
+      val path = Array.tabulate(120) { s =>
+        if (s > 0) {
+          val th = if (s >= 60) theta1 else theta0
+          x += 8 * math.cos(th); y += 8 * math.sin(th)
+        }
+        (x + rnd.nextGaussian() * 0.4, y + rnd.nextGaussian() * 0.4)
+      }
+      val cps = Traclus.characteristicPoints(path.map(_._1), path.map(_._2))
+      assert(cps.exists(i => i != 0 && i != 119 && math.abs(i - 59) <= 3),
+        s"turn $turn (side $side): no characteristic point near sample 59 in ${cps.toSeq}")
+    }
   }
 
   test("trajectories shorter than 2 points partition trivially") {

@@ -2,8 +2,10 @@ package repro.voting
 
 import scala.util.Random
 
+import org.apache.spark.sql.catalyst.expressions.Attribute
+import org.apache.spark.sql.catalyst.plans.physical.HashPartitioning
 import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanExec
-import org.apache.spark.sql.execution.exchange.ShuffleExchangeLike
+import org.apache.spark.sql.execution.exchange.{REPARTITION_BY_NUM, ShuffleExchangeLike}
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 import repro.baselines.NaiveVoting
@@ -268,20 +270,15 @@ class VotingSpec extends SparkSpec {
     val p = TrajGen.Params(nGroups = 2, perGroup = 5, nNoise = 3, tSteps = 20, seed = 5L)
     val generated = TrajGen.generateLocal(p).map(lp => TrajPoint(lp.objId, lp.t, lp.x, lp.y))
     val mods = (generated, 1.5) +: (1 to 6).map(randomMod(_).swap)
-    val key = "spark.sql.shuffle.partitions"
-    val saved = spark.conf.get(key)
-    try for (n <- Seq("1", "3", "64")) {
-      spark.conf.set(key, n)
-      for ((pts, sigma) <- mods) {
-        val local = Voting.votesLocal(pts, sigma)
-        val got = Voting.votes(df(pts.toSeq), sigma).collect()
-        assert(got.length == pts.length, s"$n partitions")
-        got.foreach { r =>
-          val k = (r.getAs[Long]("obj_id"), r.getAs[Long]("t"))
-          assert(math.abs(r.getAs[Double]("vote") - local(k)) <= 1e-9, s"$n partitions, at $k")
-        }
+    for (n <- Seq(1, 3, 64); (pts, sigma) <- mods) {
+      val local = Voting.votesLocal(pts, sigma)
+      val got = Voting.votes(df(pts.toSeq), sigma, n).collect()
+      assert(got.length == pts.length, s"$n partitions")
+      got.foreach { r =>
+        val k = (r.getAs[Long]("obj_id"), r.getAs[Long]("t"))
+        assert(math.abs(r.getAs[Double]("vote") - local(k)) <= 1e-9, s"$n partitions, at $k")
       }
-    } finally spark.conf.set(key, saved)
+    }
   }
 
   test("votes keeps exactly the input's (obj_id, t) rows, extra columns dropped") {
@@ -308,5 +305,30 @@ class VotingSpec extends SparkSpec {
     }
     val shuffles = plan.collect { case e: ShuffleExchangeLike => e }
     assert(shuffles.length == 1, s"expected one shuffle exchange, plan:\n$plan")
+  }
+
+  test("plan guard: the shuffle by t has one partition per core, whatever the session's count") {
+    val key = "spark.sql.shuffle.partitions"
+    val cores = spark.sparkContext.defaultParallelism
+    val saved = spark.conf.get(key)
+    try for (n <- Seq("64", "7")) {
+      spark.conf.set(key, n)
+      val pts = spark.range(0, 24, 1, 4).select(col("id") as "obj_id", col("id") % 3 as "t",
+                                                col("id").cast("double") as "x", lit(0.0) as "y")
+      val plan = Voting.votes(pts, 1.5).queryExecution.executedPlan match {
+        case a: AdaptiveSparkPlanExec => a.initialPlan
+        case p => p
+      }
+      plan.collect { case e: ShuffleExchangeLike => e } match {
+        case Seq(e) =>
+          assert(e.shuffleOrigin == REPARTITION_BY_NUM, s"session count $n, plan:\n$plan")
+          e.outputPartitioning match {
+            case HashPartitioning(Seq(a: Attribute), parts) =>
+              assert(a.name == "t" && parts == cores, s"session count $n, plan:\n$plan")
+            case other => fail(s"session count $n: partitioned by $other, plan:\n$plan")
+          }
+        case other => fail(s"session count $n: ${other.length} shuffle exchanges, plan:\n$plan")
+      }
+    } finally spark.conf.set(key, saved)
   }
 }
