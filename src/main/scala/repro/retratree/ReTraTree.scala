@@ -113,10 +113,13 @@ final class ReTraTree(val params: ReTraTree.Params, val dataDir: String) {
     val s = Series.fromRows(pts.map(p => (p.objId, p.t, p.x, p.y, 0.0)))
     require(s.ts.indices.drop(1).forall(i => s.ts(i) > s.ts(i - 1)),
       s"duplicate timestamp in the trajectory of object ${s.objId}")
-    val buffered = chunks.valuesIterator.flatMap(_.pendingOutliers).filter(_.objId == s.objId)
-      .flatMap(_.ts).find(s.ts.contains)
+    // A buffered sample at t sits in chunk floorDiv(t, τ), so only the chunks
+    // of this trajectory's pieces can hold one of its (object, t) samples.
+    val ps = pieces(s)
+    val buffered = ps.iterator.flatMap(p => chunks.get(p._1)).flatMap(_.pendingOutliers)
+      .filter(_.objId == s.objId).flatMap(_.ts).find(java.util.Arrays.binarySearch(s.ts, _) >= 0)
     require(buffered.isEmpty, s"object ${s.objId} already has a buffered sample at t=${buffered.get}")
-    for ((chunkId, piece) <- pieces(s)) {
+    for ((chunkId, piece) <- ps) {
       val cc = chunks.getOrElse(chunkId, {
         val fresh = new ChunkClustering(chunkId)
         chunks = chunks.updated(chunkId, fresh)

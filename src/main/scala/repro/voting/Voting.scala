@@ -44,22 +44,29 @@ object Voting {
     * (obj_id, t) samples and on non-finite x or y.
     *
     * The one shuffle by t goes into `spark.sparkContext.defaultParallelism`
-    * partitions, one per core, whatever `spark.sql.shuffle.partitions` says:
-    * more partitions than cores only add per-task and per-block overhead to a
-    * job this short. That count is what bounds memory: each partition is held
-    * in memory while grouped, about points / `defaultParallelism` rows, 48k
-    * for E4's largest MOD (192k points) on 4 cores.
+    * partitions, one per core, whatever `spark.sql.shuffle.partitions` says,
+    * and its map side reads the input in at most as many tasks, whatever the
+    * input's partitioning: more tasks than cores only add per-task and
+    * per-block overhead to a job this short, on either side of the exchange.
+    * The map side is a `coalesce`, which Catalyst's `CollapseRepartition`
+    * would drop from directly under the `repartition` by t; a typed identity
+    * step between them keeps it. The map side streams its rows into the
+    * shuffle, so the reduce side alone bounds memory: each of its partitions
+    * is held in memory while grouped, about points / `defaultParallelism`
+    * rows, 48k for E4's largest MOD (192k points) on 4 cores.
     */
   def votes(points: DataFrame, sigma: Double): DataFrame =
     votes(points, sigma, points.sparkSession.sparkContext.defaultParallelism)
 
-  /** [[votes]] with the shuffle into `partitions` partitions. */
+  /** [[votes]] with `partitions` map tasks at most and the shuffle into `partitions` partitions. */
   private[voting] def votes(points: DataFrame, sigma: Double, partitions: Int): DataFrame = {
     require(sigma > 0, s"sigma must be positive, got $sigma")
     val spark = points.sparkSession
     import spark.implicits._
-    points.select($"obj_id", $"t", $"x", $"y").repartition(partitions, $"t")
-      .as[(Long, Long, Double, Double)]
+    // The typed identity step keeps the coalesce from being collapsed into the repartition.
+    points.select($"obj_id", $"t", $"x", $"y").coalesce(partitions)
+      .as[(Long, Long, Double, Double)].mapPartitions(rows => rows).toDF("obj_id", "t", "x", "y")
+      .repartition(partitions, $"t").as[(Long, Long, Double, Double)]
       .mapPartitions(byTimestamp(_, sigma)).toDF("obj_id", "t", "x", "y", "vote")
   }
 

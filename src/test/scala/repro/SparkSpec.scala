@@ -1,6 +1,7 @@
 package repro
 
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
+import org.apache.spark.SparkFirehoseListener
+import org.apache.spark.scheduler.{SparkListenerEvent, SparkListenerJobStart, SparkListenerStageCompleted}
 import org.apache.spark.sql.SparkSession
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
@@ -48,16 +49,19 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
     assert(spark.sparkContext.getPersistentRDDs.keySet == before, "a cached dataset leaked")
   }
 
-  /** The number of Spark jobs that `body` starts. A marked job run after
-    * `body` flushes the asynchronous listener bus: once its start event
-    * arrives, every job `body` started has been seen.
+  /** The listener events that `body` causes, in order. A marked job run
+    * after `body` flushes the asynchronous listener bus: once its start event
+    * arrives, every event of the jobs `body` started has been seen.
     */
-  def jobsDuring(body: => Any): Int = {
+  private def eventsDuring(body: => Any): Seq[SparkListenerEvent] = {
     val sc = spark.sparkContext
-    val marks = new ConcurrentLinkedQueue[Boolean]()
-    val listener = new SparkListener {
-      override def onJobStart(e: SparkListenerJobStart): Unit =
-        marks.add(Option(e.properties).exists(_.getProperty(SparkSpec.MarkKey) != null))
+    val events = new ConcurrentLinkedQueue[SparkListenerEvent]()
+    def isMark(e: SparkListenerEvent) = e match {
+      case j: SparkListenerJobStart => Option(j.properties).exists(_.getProperty(SparkSpec.MarkKey) != null)
+      case _ => false
+    }
+    val listener = new SparkFirehoseListener {
+      override def onEvent(e: SparkListenerEvent): Unit = events.add(e)
     }
     sc.addSparkListener(listener)
     try {
@@ -65,11 +69,19 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
       sc.setLocalProperty(SparkSpec.MarkKey, "true")
       try sc.parallelize(Seq(1), 1).count() finally sc.setLocalProperty(SparkSpec.MarkKey, null)
       val deadline = System.nanoTime() + TimeUnit.SECONDS.toNanos(30)
-      while (!marks.contains(true) && System.nanoTime() < deadline) Thread.sleep(10)
-      assert(marks.contains(true), "the listener never saw the marked job")
-      marks.asScala.takeWhile(!_).size
+      while (!events.asScala.exists(isMark) && System.nanoTime() < deadline) Thread.sleep(10)
+      assert(events.asScala.exists(isMark), "the listener never saw the marked job")
+      events.asScala.takeWhile(!isMark(_)).toSeq
     } finally sc.removeSparkListener(listener)
   }
+
+  /** The number of Spark jobs that `body` starts. */
+  def jobsDuring(body: => Any): Int =
+    eventsDuring(body).count(_.isInstanceOf[SparkListenerJobStart])
+
+  /** The number of tasks of each stage that `body` runs, in completion order. */
+  def stageTasksDuring(body: => Any): Seq[Int] =
+    eventsDuring(body).collect { case s: SparkListenerStageCompleted => s.stageInfo.numTasks }
 }
 
 object SparkSpec {

@@ -266,19 +266,51 @@ class VotingSpec extends SparkSpec {
     }
   }
 
-  test("votes do not depend on the number of shuffle partitions") {
+  /** The generated MOD and six random ones, each with its sigma. */
+  private lazy val partitioningMods = {
     val p = TrajGen.Params(nGroups = 2, perGroup = 5, nNoise = 3, tSteps = 20, seed = 5L)
     val generated = TrajGen.generateLocal(p).map(lp => TrajPoint(lp.objId, lp.t, lp.x, lp.y))
-    val mods = (generated, 1.5) +: (1 to 6).map(randomMod(_).swap)
-    for (n <- Seq(1, 3, 64); (pts, sigma) <- mods) {
-      val local = Voting.votesLocal(pts, sigma)
-      val got = Voting.votes(df(pts.toSeq), sigma, n).collect()
-      assert(got.length == pts.length, s"$n partitions")
-      got.foreach { r =>
-        val k = (r.getAs[Long]("obj_id"), r.getAs[Long]("t"))
-        assert(math.abs(r.getAs[Double]("vote") - local(k)) <= 1e-9, s"$n partitions, at $k")
-      }
+    (generated, 1.5) +: (1 to 6).map(randomMod(_).swap)
+  }
+
+  /** Checks that `got` holds one row per point of `pts`, voted as [[Voting.votesLocal]] votes it. */
+  private def assertVotedLocally(what: String, pts: Array[TrajPoint], sigma: Double,
+                                 got: Array[org.apache.spark.sql.Row]): Unit = {
+    val local = Voting.votesLocal(pts, sigma)
+    assert(got.length == pts.length, what)
+    got.foreach { r =>
+      val k = (r.getAs[Long]("obj_id"), r.getAs[Long]("t"))
+      assert(math.abs(r.getAs[Double]("vote") - local(k)) <= 1e-9, s"$what, at $k")
     }
+  }
+
+  test("votes do not depend on the number of shuffle partitions") {
+    for (n <- Seq(1, 3, 64); (pts, sigma) <- partitioningMods)
+      assertVotedLocally(s"$n partitions", pts, sigma, Voting.votes(df(pts.toSeq), sigma, n).collect())
+  }
+
+  test("votes do not depend on the input's partitioning") {
+    for (n <- Seq(1, 3, 50); (pts, sigma) <- partitioningMods) {
+      val in = df(pts.toSeq).repartition(n)
+      assert(in.rdd.getNumPartitions == n)
+      assertVotedLocally(s"$n input partitions", pts, sigma, Voting.votes(in, sigma).collect())
+    }
+  }
+
+  test("the vote job reads its input in at most one task per core, whatever the input's partitioning") {
+    val cores = spark.sparkContext.defaultParallelism
+    val parts = math.max(50, 2 * cores)
+    val pts = spark.range(0, 8L * parts, 1, parts).select(col("id") as "obj_id", col("id") % 3 as "t",
+                                                          col("id").cast("double") as "x", lit(0.0) as "y")
+    assert(pts.rdd.getNumPartitions == parts)
+    val stages = stageTasksDuring(Voting.votes(pts, 1.5).collect())
+    assert(stages.nonEmpty && stages.max <= cores, s"tasks per stage: $stages, $cores cores")
+  }
+
+  test("votes starts no Spark job until its result is consumed") {
+    val p = TrajGen.Params(nGroups = 2, perGroup = 5, nNoise = 3, tSteps = 20, seed = 5L)
+    val pts = TrajGen.points(TrajGen.generate(spark, p)).repartition(3)
+    assert(jobsDuring(Voting.votes(pts, 1.5)) == 0)
   }
 
   test("votes keeps exactly the input's (obj_id, t) rows, extra columns dropped") {
